@@ -5,21 +5,17 @@
 // Two measurements feed that claim:
 //
 //  A. Interpretation overhead — identical kernels implemented natively in
-//     C++ and in MicroC, timed head-to-head. Each VM configuration is an
-//     ablation point of the toolchain rebuild:
-//        legacy       byte-walking checked interpreter, no optimizer
-//                     (the pre-refactor pipeline, the baseline)
-//        direct-noopt decoded + direct-threaded dispatch, optimizer off
-//                     (isolates the dispatch contribution)
-//        switch-opt   optimizer on, portable switch dispatch
-//                     (isolates the optimizer contribution)
-//        direct-opt   full pipeline (what the runtime ships)
-//     Results land in BENCH_overhead.json with per-kernel multipliers so
-//     the optimizer and dispatch wins stay separable.
+//     C++ and in MicroC, timed head-to-head on the same bytecode:
+//        legacy  byte-walking checked interpreter (the pre-refactor VM,
+//                the baseline)
+//        direct  verified decode + direct-threaded dispatch (what the
+//                runtime ships)
+//     Results land in BENCH_overhead.json with per-kernel multipliers.
 //
 //  B. Runtime machinery overhead — the same program run through a full
-//     single-site SDVM vs a minimal sequential worklist over identical
-//     bytecode. The gap is scheduling/bookkeeping, the thing the paper
+//     single-site SDVM with one executor slot vs a minimal sequential
+//     worklist over identical bytecode. Both sides run one microthread at
+//     a time, so the gap is scheduling/bookkeeping, the thing the paper
 //     accounted as "about 3%". proc.runtime_ns / proc.vm_dispatch_ns from
 //     the site metrics split microthread wall time into VM-loop time vs
 //     dispatch machinery.
@@ -165,7 +161,7 @@ struct KernelRow {
   std::string name;
   double native_s = 0;
   // Overhead multipliers: vm_time / native_time.
-  double legacy = 0, direct_noopt = 0, switch_opt = 0, direct_opt = 0;
+  double legacy = 0, direct = 0;
 };
 
 KernelRow measure_kernel(const Kernel& k, std::int64_t n, int reps) {
@@ -177,28 +173,21 @@ KernelRow measure_kernel(const Kernel& k, std::int64_t n, int reps) {
     if (k.native(n) != expect) std::abort();
   });
 
-  microc::CompileOptions opt_on{.optimize = true};
-  microc::CompileOptions opt_off{.optimize = false};
-  auto plain = microc::compile(k.source, k.name, opt_off);
-  auto optimized = microc::compile(k.source, k.name, opt_on);
-  if (!plain.is_ok() || !optimized.is_ok()) {
+  auto prog = microc::compile(k.source, k.name);
+  if (!prog.is_ok()) {
     std::fprintf(stderr, "%s: compile failed\n", k.name);
     std::abort();
   }
-  auto plain_dec = microc::decode(plain.value());
-  auto opt_dec = microc::decode(optimized.value());
-  if (!plain_dec.is_ok() || !opt_dec.is_ok()) std::abort();
+  auto decoded = microc::decode(prog.value());
+  if (!decoded.is_ok()) std::abort();
 
-  auto run_vm = [&](const microc::Program& prog,
-                    const microc::DecodedProgram* dec,
-                    microc::DispatchMode mode) {
+  // dec == nullptr runs the legacy interpreter on the raw bytecode.
+  auto run_vm = [&](const microc::DecodedProgram* dec) {
     return best_seconds(reps, [&] {
       KernelHost host(n);
-      microc::VmResult r =
-          dec == nullptr
-              ? microc::Vm::run_legacy(prog, host)
-              : microc::Vm::run(*dec, prog, host,
-                                microc::Vm::kDefaultStepLimit, mode);
+      microc::VmResult r = dec == nullptr
+                               ? microc::Vm::run_legacy(prog.value(), host)
+                               : microc::Vm::run(*dec, prog.value(), host);
       if (!r.status.is_ok() || host.outputs.size() != 1 ||
           host.outputs[0] != expect) {
         std::fprintf(stderr, "%s: VM result mismatch\n", k.name);
@@ -207,17 +196,8 @@ KernelRow measure_kernel(const Kernel& k, std::int64_t n, int reps) {
     });
   };
 
-  row.legacy = run_vm(plain.value(), nullptr, microc::DispatchMode::kLegacy) /
-               row.native_s;
-  row.direct_noopt = run_vm(plain.value(), &plain_dec.value(),
-                            microc::DispatchMode::kDirect) /
-                     row.native_s;
-  row.switch_opt = run_vm(optimized.value(), &opt_dec.value(),
-                          microc::DispatchMode::kSwitch) /
-                   row.native_s;
-  row.direct_opt = run_vm(optimized.value(), &opt_dec.value(),
-                          microc::DispatchMode::kDirect) /
-                   row.native_s;
+  row.legacy = run_vm(nullptr) / row.native_s;
+  row.direct = run_vm(&decoded.value()) / row.native_s;
   return row;
 }
 
@@ -369,8 +349,12 @@ ClusterNumbers measure_cluster(bool smoke) {
     if (runner.run() != 0) std::abort();
   });
 
+  // One executor slot: the worklist baseline runs one microthread at a
+  // time, so more slots would measure parallel speed-up, not overhead.
   LocalCluster cluster;
-  cluster.add_sites(1);
+  SiteConfig site;
+  site.executor_slots = 1;
+  cluster.add_sites(1, site);
   out.sdvm_s = best_seconds(reps, [&] {
     auto pid = cluster.start_program(spec);
     if (!pid.is_ok()) std::abort();
@@ -410,32 +394,27 @@ int main(int argc, char** argv) {
   std::printf("O1: MicroC/SDVM overhead vs native sequential execution%s\n\n",
               smoke ? " (smoke)" : "");
   std::printf("A. interpretation overhead (multiplier vs native C++)\n");
-  std::printf("%-10s %10s %9s %13s %11s %11s\n", "kernel", "native_s",
-              "legacy", "direct-noopt", "switch-opt", "direct-opt");
+  std::printf("%-10s %10s %9s %9s\n", "kernel", "native_s", "legacy",
+              "direct");
 
   std::vector<KernelRow> rows;
   for (const Kernel& k : kKernels) {
     KernelRow row = measure_kernel(k, smoke ? k.n_smoke : k.n_full, reps);
-    std::printf("%-10s %10.4f %8.1fx %12.1fx %10.1fx %10.1fx\n",
-                row.name.c_str(), row.native_s, row.legacy, row.direct_noopt,
-                row.switch_opt, row.direct_opt);
+    std::printf("%-10s %10.4f %8.1fx %8.1fx\n", row.name.c_str(),
+                row.native_s, row.legacy, row.direct);
     rows.push_back(std::move(row));
   }
   double g_legacy = geomean(rows, &KernelRow::legacy);
-  double g_dnoopt = geomean(rows, &KernelRow::direct_noopt);
-  double g_sopt = geomean(rows, &KernelRow::switch_opt);
-  double g_dopt = geomean(rows, &KernelRow::direct_opt);
-  double reduction = g_legacy / g_dopt;
-  std::printf("%-10s %10s %8.1fx %12.1fx %10.1fx %10.1fx\n", "geomean", "",
-              g_legacy, g_dnoopt, g_sopt, g_dopt);
-  std::printf("overhead reduction vs legacy pipeline: %.2fx "
-              "(dispatch %.2fx, optimizer %.2fx on top)\n\n",
-              reduction, g_legacy / g_dnoopt, g_dnoopt / g_dopt);
+  double g_direct = geomean(rows, &KernelRow::direct);
+  double reduction = g_legacy / g_direct;
+  std::printf("%-10s %10s %8.1fx %8.1fx\n", "geomean", "", g_legacy,
+              g_direct);
+  std::printf("overhead reduction vs legacy VM: %.2fx\n\n", reduction);
 
   std::printf("B. runtime machinery overhead (full SDVM vs worklist)\n");
   ClusterNumbers c = measure_cluster(smoke);
   std::printf("sequential baseline : %8.3f s\n", c.seq_s);
-  std::printf("SDVM, 1 site        : %8.3f s\n", c.sdvm_s);
+  std::printf("SDVM, 1 site, 1 slot: %8.3f s\n", c.sdvm_s);
   std::printf("overhead            : %8.1f %%   (paper reports ~3%%)\n",
               c.overhead_pct);
   std::printf("proc.runtime_ns sum : %llu\n",
@@ -458,32 +437,21 @@ int main(int argc, char** argv) {
     const auto& r = rows[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"native_s\": %.6f, "
-                 "\"overhead_legacy\": %.2f, \"overhead_direct_noopt\": %.2f, "
-                 "\"overhead_switch_opt\": %.2f, \"overhead_direct_opt\": "
-                 "%.2f}%s\n",
-                 r.name.c_str(), r.native_s, r.legacy, r.direct_noopt,
-                 r.switch_opt, r.direct_opt,
+                 "\"overhead_legacy\": %.2f, \"overhead_direct\": %.2f}%s\n",
+                 r.name.c_str(), r.native_s, r.legacy, r.direct,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"geomean\": {\"legacy\": %.2f, \"direct_noopt\": %.2f, "
-               "\"switch_opt\": %.2f, \"direct_opt\": %.2f},\n",
-               g_legacy, g_dnoopt, g_sopt, g_dopt);
-  std::fprintf(f,
-               "  \"reduction_vs_legacy\": %.2f,\n"
-               "  \"dispatch_contribution\": %.2f,\n"
-               "  \"optimizer_contribution\": %.2f,\n",
-               reduction, g_legacy / g_dnoopt, g_dnoopt / g_dopt);
+  std::fprintf(f, "  \"geomean\": {\"legacy\": %.2f, \"direct\": %.2f},\n",
+               g_legacy, g_direct);
+  std::fprintf(f, "  \"reduction_vs_legacy\": %.2f,\n", reduction);
   std::fprintf(f,
                "  \"cluster\": {\"sequential_s\": %.4f, \"sdvm_s\": %.4f, "
                "\"overhead_pct\": %.2f, \"runtime_ns\": %llu, "
-               "\"vm_dispatch_ns\": %llu},\n",
+               "\"vm_dispatch_ns\": %llu}\n}\n",
                c.seq_s, c.sdvm_s, c.overhead_pct,
                static_cast<unsigned long long>(c.runtime_ns),
                static_cast<unsigned long long>(c.vm_dispatch_ns));
-  std::fprintf(f, "  \"computed_goto\": %s\n}\n",
-               microc::Vm::has_computed_goto() ? "true" : "false");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);
 

@@ -6,9 +6,7 @@
 //   $ ./mcc [flags] [file.mc]
 //
 //   --dump-ast       print the typed AST (post-typecheck)
-//   --dump-ir        print the optimizer's IR listing and pass statistics
 //   --dump-bytecode  print the bytecode disassembly
-//   --no-opt         disable the IR optimizer (ablation / debugging)
 //   --no-run         compile only, skip the stub-intrinsic execution
 //
 // Compile errors are reported as `file:line:col: message` followed by the
@@ -19,6 +17,8 @@
 #include <sstream>
 
 #include "microc/compiler.hpp"
+#include "microc/parser.hpp"
+#include "microc/typecheck.hpp"
 #include "microc/vm.hpp"
 
 using namespace sdvm;
@@ -107,24 +107,19 @@ void print_diagnostic(const std::string& file, const std::string& source,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool dump_ast = false, dump_ir = false, dump_bytecode = false;
+  bool dump_ast = false, dump_bytecode = false;
   bool run = true;
-  microc::CompileOptions options;
   std::string file;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dump-ast") == 0) {
       dump_ast = true;
-    } else if (std::strcmp(argv[i], "--dump-ir") == 0) {
-      dump_ir = true;
     } else if (std::strcmp(argv[i], "--dump-bytecode") == 0) {
       dump_bytecode = true;
-    } else if (std::strcmp(argv[i], "--no-opt") == 0) {
-      options.optimize = false;
     } else if (std::strcmp(argv[i], "--no-run") == 0) {
       run = false;
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: mcc [--dump-ast] [--dump-ir] [--dump-bytecode] "
-                  "[--no-opt] [--no-run] [file.mc]\n");
+      std::printf("usage: mcc [--dump-ast] [--dump-bytecode] [--no-run] "
+                  "[file.mc]\n");
       return 0;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown flag %s (try --help)\n", argv[i]);
@@ -152,27 +147,22 @@ int main(int argc, char** argv) {
   }
 
   microc::CompileError error;
-  microc::CompileArtifacts artifacts;
-  auto prog = microc::compile(source, name, options, &error, &artifacts);
+  auto prog = microc::compile(source, name, &error);
   if (!prog.is_ok()) {
     print_diagnostic(file.empty() ? "<sample>" : file, source, error);
     return 1;
   }
 
   if (dump_ast) {
-    std::printf("--- typed AST ---\n%s\n", artifacts.ast.c_str());
-  }
-  if (dump_ir) {
-    if (!artifacts.opt_stats.empty()) {
-      std::printf("--- optimizer: %s ---\n", artifacts.opt_stats.c_str());
-    }
-    std::printf("--- IR ---\n%s\n", artifacts.ir.c_str());
+    // The source compiled, so the front end cannot throw here.
+    microc::Unit unit = microc::parse(source);
+    microc::typecheck(unit);
+    std::printf("--- typed AST ---\n%s\n", microc::dump_ast(unit).c_str());
   }
 
   auto artifact = prog.value().serialize();
-  std::printf("compiled '%s'%s: %zu bytes of bytecode, %u locals, "
+  std::printf("compiled '%s': %zu bytes of bytecode, %u locals, "
               "%zu-byte artifact\n", name.c_str(),
-              options.optimize ? "" : " (unoptimized)",
               prog.value().code.size(), prog.value().local_count,
               artifact.size());
   if (dump_bytecode) {

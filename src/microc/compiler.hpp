@@ -8,35 +8,15 @@
 
 namespace sdvm::microc {
 
-struct CompileOptions {
-  /// Run the IR optimizer (constant folding, propagation, DCE, slot
-  /// compaction). Off = straight lowering, the ablation baseline for the
-  /// overhead bench.
-  bool optimize = true;
-};
-
-/// Intermediate listings captured during compilation, for the `sdvm-mcc`
-/// --dump-* flags. Only populated when a non-null pointer is passed.
-struct CompileArtifacts {
-  std::string ast;        // typed AST after typechecking
-  std::string ir;         // IR after optimization (or raw if disabled)
-  std::string opt_stats;  // what the optimizer did
-};
-
 /// Compiles one MicroC source unit to bytecode. This is the "compile on the
 /// fly" operation a site performs when it receives microthread source for a
 /// platform it has no binary for. Pipeline: lex -> parse -> typecheck ->
-/// lower to IR -> optimize -> emit. Returns kInvalidArgument with a
-/// line:column diagnostic on any lex/parse/type error; when `error_out` is
-/// non-null the structured error (message + position) is stored there too,
-/// so tools can render caret snippets.
+/// emit (the typed AST is written straight to wire bytecode). Returns
+/// kInvalidArgument with a line:column diagnostic on any lex/parse/type
+/// error; when `error_out` is non-null the structured error (message +
+/// position) is stored there too, so tools can render caret snippets.
 [[nodiscard]] Result<Program> compile(std::string_view source,
                                       std::string name,
-                                      const CompileOptions& options,
-                                      CompileError* error_out = nullptr,
-                                      CompileArtifacts* artifacts = nullptr);
-
-[[nodiscard]] Result<Program> compile(std::string_view source,
-                                      std::string name);
+                                      CompileError* error_out = nullptr);
 
 }  // namespace sdvm::microc

@@ -7,16 +7,12 @@
 //
 // Execution runs over the verified pre-decoded form (decode.hpp): the
 // decoder proves all slots/indices/jumps/stack depths safe once, so the
-// hot loop does no per-step validation. Two dispatch strategies share one
-// loop body (vm_loop.inc):
-//
-//   kDirect  computed-goto direct threading (GCC/Clang): each instruction
-//            ends by jumping straight to the next handler, giving the
-//            branch predictor one indirect-branch site per opcode instead
-//            of a single shared dispatch branch;
-//   kSwitch  portable dense switch over the same decoded instructions;
-//   kLegacy  the original byte-walking checked interpreter, kept verbatim
-//            as the pre-refactor baseline for overhead benchmarks.
+// hot loop does no per-step validation. Dispatch is computed-goto direct
+// threading (GCC/Clang, which the build requires): each instruction ends
+// by jumping straight to the next handler, giving the branch predictor one
+// indirect-branch site per opcode instead of a single shared dispatch
+// branch. `run_legacy`, the original byte-walking checked interpreter, is
+// kept as the reference the decoded VM is tested and benchmarked against.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +74,6 @@ struct VmResult {
   std::uint64_t cycles = 0;
 };
 
-enum class DispatchMode : std::uint8_t { kDirect, kSwitch, kLegacy };
-
 class Vm {
  public:
   /// Upper bound on executed instructions; microthreads are "short code
@@ -100,19 +94,15 @@ class Vm {
                                     const Program& program,
                                     IntrinsicHandler& handler,
                                     std::uint64_t step_limit =
-                                        kDefaultStepLimit,
-                                    DispatchMode mode = DispatchMode::kDirect);
+                                        kDefaultStepLimit);
 
-  /// The original checked byte-walking interpreter (the pre-refactor VM),
-  /// kept as the ablation baseline for bench/overhead_sequential.
+  /// The original checked byte-walking interpreter (the pre-refactor VM):
+  /// the reference for golden-corpus equivalence and the baseline of
+  /// bench/overhead_sequential.
   [[nodiscard]] static VmResult run_legacy(const Program& program,
                                            IntrinsicHandler& handler,
                                            std::uint64_t step_limit =
                                                kDefaultStepLimit);
-
-  /// True when kDirect uses real computed-goto threading on this build
-  /// (otherwise it falls back to the switch loop).
-  [[nodiscard]] static bool has_computed_goto();
 };
 
 }  // namespace sdvm::microc

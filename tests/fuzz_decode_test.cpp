@@ -170,7 +170,7 @@ TEST_P(FuzzDecodeTest, VmSurvivesGarbageCode) {
 // --- MicroC front-end fuzzing ----------------------------------------------
 // The lexer/parser/typechecker must reject (or accept) any input with a
 // clean diagnostic — never crash, hang, or trip ASan. compile() is the
-// full pipeline: lex -> parse -> typecheck -> lower -> optimize -> emit.
+// full pipeline: lex -> parse -> typecheck -> emit.
 
 void compile_must_not_crash(const std::string& src) {
   auto r = microc::compile(src, "fuzz");

@@ -152,8 +152,7 @@ TEST(MicrocBytecodePinTest, CorpusMatchesPinnedDigests) {
     if (entry.path().extension() != ".mc") continue;
     const std::string name = entry.path().filename().string();
     CompileError err;
-    auto prog = compile(slurp(entry.path()), name,
-                        CompileOptions{.optimize = false}, &err);
+    auto prog = compile(slurp(entry.path()), name, &err);
     ASSERT_TRUE(prog.is_ok()) << name << ": " << err.to_string();
     got[name] = digest(prog.value());
   }

@@ -1,16 +1,12 @@
 // Golden-corpus equivalence tests for the MicroC toolchain.
 //
-// Every examples/programs/*.mc program is compiled twice (optimized and
-// unoptimized) and each artifact is executed under all three dispatch
-// strategies (computed-goto direct threading, dense switch, and the
-// legacy byte-walking interpreter). All six runs must produce the exact
-// same externally visible behavior: the optimizer may drop work, the
-// dispatch rebuild may not change results at all.
-//
-// Cycle counts are additionally pinned: for one artifact, direct, switch
-// and legacy dispatch must agree exactly (superinstruction fusion is
-// required to be cost-invariant), and the optimized artifact must never
-// cost more cycles than the unoptimized one.
+// Every examples/programs/*.mc program is compiled once and run twice:
+// on the optimized execution path the runtime ships (verified decode,
+// superinstruction fusion, computed-goto direct threading) and on the
+// unoptimized legacy byte-walking interpreter, the checked reference.
+// Both runs must produce the exact same externally visible behavior and
+// the exact same cycle count (superinstruction fusion is required to be
+// cost-invariant, since cycles are the sim-mode cost model).
 
 #include <cstdint>
 #include <filesystem>
@@ -115,67 +111,34 @@ struct RunOutcome {
   std::uint64_t cycles = 0;
 };
 
-RunOutcome run_one(const Program& prog, DispatchMode mode) {
+using VmEntry = VmResult (*)(const Program&, IntrinsicHandler&,
+                             std::uint64_t);
+
+RunOutcome run_one(const Program& prog, VmEntry run) {
   RecordingHandler handler;
-  VmResult r;
-  if (mode == DispatchMode::kLegacy) {
-    r = Vm::run_legacy(prog, handler);
-  } else {
-    auto decoded = decode(prog);
-    EXPECT_TRUE(decoded.is_ok()) << decoded.status().to_string();
-    r = Vm::run(decoded.value(), prog, handler, Vm::kDefaultStepLimit, mode);
-  }
-  EXPECT_TRUE(r.status.is_ok()) << prog.name << ": "
-                             << r.status.to_string();
+  VmResult r = run(prog, handler, Vm::kDefaultStepLimit);
+  EXPECT_TRUE(r.status.is_ok()) << prog.name << ": " << r.status.to_string();
   return {std::move(handler.trace), r.cycles};
 }
 
 class GoldenCorpusTest : public ::testing::TestWithParam<fs::path> {};
 
+// The name predates the removal of the IR optimizer and the switch
+// dispatch loop; "optimized" is now the decoded, fused execution path.
 TEST_P(GoldenCorpusTest, OptimizedMatchesUnoptimizedAcrossDispatchModes) {
   const fs::path path = GetParam();
   const std::string source = slurp(path);
   ASSERT_FALSE(source.empty()) << path;
 
-  CompileOptions opt_on{.optimize = true};
-  CompileOptions opt_off{.optimize = false};
   CompileError err;
-  auto optimized = compile(source, path.filename().string(), opt_on, &err);
-  ASSERT_TRUE(optimized.is_ok()) << path << ": " << err.to_string();
-  auto plain = compile(source, path.filename().string(), opt_off, &err);
-  ASSERT_TRUE(plain.is_ok()) << path << ": " << err.to_string();
+  auto prog = compile(source, path.filename().string(), &err);
+  ASSERT_TRUE(prog.is_ok()) << path << ": " << err.to_string();
 
-  RunOutcome golden = run_one(plain.value(), DispatchMode::kLegacy);
-  ASSERT_FALSE(golden.trace.empty()) << path << ": corpus program is silent";
-
-  struct Case {
-    const char* label;
-    const Program* prog;
-    DispatchMode mode;
-  };
-  const Case cases[] = {
-      {"plain/direct", &plain.value(), DispatchMode::kDirect},
-      {"plain/switch", &plain.value(), DispatchMode::kSwitch},
-      {"opt/legacy", &optimized.value(), DispatchMode::kLegacy},
-      {"opt/direct", &optimized.value(), DispatchMode::kDirect},
-      {"opt/switch", &optimized.value(), DispatchMode::kSwitch},
-  };
-  std::uint64_t plain_cycles = golden.cycles;
-  std::uint64_t opt_cycles = 0;
-  for (const auto& c : cases) {
-    RunOutcome got = run_one(*c.prog, c.mode);
-    EXPECT_EQ(got.trace, golden.trace) << path << " [" << c.label << "]";
-    // The decoded cost model counts wire instructions, so all dispatch
-    // modes of one artifact must agree with the legacy interpreter.
-    if (c.prog == &plain.value()) {
-      EXPECT_EQ(got.cycles, plain_cycles) << path << " [" << c.label << "]";
-    } else {
-      if (opt_cycles == 0) opt_cycles = got.cycles;
-      EXPECT_EQ(got.cycles, opt_cycles) << path << " [" << c.label << "]";
-    }
-  }
-  EXPECT_LE(opt_cycles, plain_cycles)
-      << path << ": optimizer made the program slower";
+  RunOutcome legacy = run_one(prog.value(), &Vm::run_legacy);
+  RunOutcome direct = run_one(prog.value(), &Vm::run);
+  ASSERT_FALSE(legacy.trace.empty()) << path << ": corpus program is silent";
+  EXPECT_EQ(direct.trace, legacy.trace) << path;
+  EXPECT_EQ(direct.cycles, legacy.cycles) << path;
 }
 
 std::string corpus_name(const ::testing::TestParamInfo<fs::path>& info) {
