@@ -123,8 +123,8 @@ RunOutcome run_one(const Program& prog, VmEntry run) {
 
 class GoldenCorpusTest : public ::testing::TestWithParam<fs::path> {};
 
-// The name predates the removal of the IR optimizer and the switch
-// dispatch loop; "optimized" is now the decoded, fused execution path.
+// "Optimized" is the decoded, fused execution path and "unoptimized" the
+// legacy interpreter; the two interpreters are the dispatch modes.
 TEST_P(GoldenCorpusTest, OptimizedMatchesUnoptimizedAcrossDispatchModes) {
   const fs::path path = GetParam();
   const std::string source = slurp(path);
