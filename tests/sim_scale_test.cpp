@@ -13,6 +13,7 @@
 #include "test_util.hpp"
 
 #include "api/program_builder.hpp"
+#include "apps/primes.hpp"
 #include "sim/sim_cluster.hpp"
 #include "sim/topology.hpp"
 
@@ -142,6 +143,62 @@ TEST(SimDeterminismTest, PaperScaleGoldenTrace) {
   EXPECT_EQ(a, b) << "same seed must replay the identical event trace";
   const std::uint64_t c = paper_scale_hash(8);
   EXPECT_NE(a, c) << "seeds drive delivery jitter; traces must differ";
+}
+
+// --- golden pin ------------------------------------------------------------
+//
+// The determinism tests above compare a run with itself, so a change to
+// the simulator's virtual behaviour would pass them. These values were
+// recorded from the implementation and must not move: any refactor of the
+// execution path, the event loop or the message layer has to reproduce
+// them bit for bit.
+
+/// What one fixed-seed Table 1 style run did in virtual time.
+struct PrimesProbe {
+  Nanos virtual_ns = 0;
+  std::uint64_t executed = 0;  // sum of proc.executed over all sites
+  std::uint64_t sent = 0;      // sum of msg.sent over all sites
+};
+
+PrimesProbe encrypted_primes_probe() {
+  SimCluster::Options opts;
+  opts.seed = 1;
+  opts.link.jitter = 20'000;
+  SimCluster cluster(opts);
+  SiteConfig cfg;
+  cfg.encrypt = true;
+  cluster.add_sites(8, 1.0, cfg);
+  apps::PrimesParams params;
+  params.p = 100;
+  params.width = 20;
+  params.work_mult = 58'000'000;
+  auto pid = cluster.start_program(apps::make_primes_program(params));
+  EXPECT_TRUE(pid.is_ok());
+  PrimesProbe probe;
+  if (!pid.is_ok()) return probe;
+  const Nanos start = cluster.now();
+  auto code = cluster.run_program(pid.value(), 100'000 * kNanosPerSecond);
+  EXPECT_TRUE(code.is_ok()) << code.status().to_string();
+  probe.virtual_ns = cluster.now() - start;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    auto st = cluster.status(i);
+    EXPECT_TRUE(st.is_ok());
+    if (!st.is_ok()) continue;
+    probe.executed += st.value().metrics.counter("proc.executed");
+    probe.sent += st.value().metrics.counter("msg.sent");
+  }
+  return probe;
+}
+
+TEST(SimGoldenPinTest, PaperScaleHash) {
+  EXPECT_EQ(paper_scale_hash(7), 7532577355965255732ULL);
+}
+
+TEST(SimGoldenPinTest, EncryptedPrimesProbe) {
+  const PrimesProbe probe = encrypted_primes_probe();
+  EXPECT_EQ(probe.virtual_ns, 4'903'593'148);
+  EXPECT_EQ(probe.executed, 595u);
+  EXPECT_EQ(probe.sent, 24'615u);
 }
 
 std::uint64_t zoned_hash(std::uint64_t seed) {
