@@ -46,10 +46,11 @@ Obs run(bool heterogeneous) {
   Obs o;
   o.seconds = static_cast<double>(cluster.now() - t0) / kNanosPerSecond;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    o.compiles += cluster.site(i).code().compiles;
-    o.source_fetches += cluster.site(i).code().source_fetches;
-    o.binary_fetches += cluster.site(i).code().binary_fetches;
-    o.uploads += cluster.site(i).code().uploads_received;
+    metrics::MetricsSnapshot m = cluster.site(i).introspect().metrics;
+    o.compiles += m.counter("code.compiles");
+    o.source_fetches += m.counter("code.source_fetches");
+    o.binary_fetches += m.counter("code.binary_fetches");
+    o.uploads += m.counter("code.uploads_received");
   }
   return o;
 }

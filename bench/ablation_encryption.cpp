@@ -43,7 +43,7 @@ Obs run(bool encrypt) {
                   std::chrono::steady_clock::now() - t0)
                   .count();
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    o.sealed += cluster.site(i).security().sealed_count;
+    o.sealed += cluster.site(i).introspect().metrics.counter("sec.sealed");
   }
   o.bytes = cluster.network().total_stats().bytes;
   return o;

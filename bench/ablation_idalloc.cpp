@@ -44,7 +44,8 @@ int main() {
     std::uint64_t messages = 0;
     std::set<SiteId> ids;
     for (std::size_t i = 0; i < cluster.size(); ++i) {
-      messages += cluster.site(i).cluster().signon_messages;
+      messages += cluster.site(i).introspect().metrics.counter(
+          "cluster.signon_messages");
       ids.insert(cluster.site(i).id());
     }
     std::printf("%12s | %14llu | %16.3f | %zu/24%s\n", name,

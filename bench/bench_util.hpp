@@ -51,12 +51,10 @@ inline RunResult run_primes_sim(int sites, const apps::PrimesParams& params,
   r.ok = true;
   r.exit_code = code.value();
   r.seconds = static_cast<double>(cluster.now() - start) / kNanosPerSecond;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    r.executed += cluster.site(i).processing().executed_total;
-    r.messages += cluster.site(i).messages().sent_count;
-    r.help_requests += cluster.site(i).scheduling().help_requests_sent;
-  }
   capture_metrics(handle, r);
+  r.executed = r.metrics.counter("proc.executed");
+  r.messages = r.metrics.counter("msg.sent");
+  r.help_requests = r.metrics.counter("sched.help_requests_sent");
   return r;
 }
 

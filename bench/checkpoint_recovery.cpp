@@ -36,12 +36,11 @@ double run_once(SiteConfig cfg, bool kill_mid_run, std::uint64_t* checkpoints,
   auto code = cluster.run_program(pid.value(), 100'000 * kNanosPerSecond);
   if (!code.is_ok()) return -1;
   for (std::size_t i = 0; i + 1 < cluster.size(); ++i) {  // skip the victim
+    metrics::MetricsSnapshot m = cluster.site(i).introspect().metrics;
     if (checkpoints != nullptr) {
-      *checkpoints += cluster.site(i).crash().checkpoints_committed;
+      *checkpoints += m.counter("crash.checkpoints_committed");
     }
-    if (recoveries != nullptr) {
-      *recoveries += cluster.site(i).crash().recoveries;
-    }
+    if (recoveries != nullptr) *recoveries += m.counter("crash.recoveries");
   }
   return static_cast<double>(cluster.now() - t0) / kNanosPerSecond;
 }

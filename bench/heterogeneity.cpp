@@ -55,7 +55,8 @@ int main() {
     std::uint64_t total = 0;
     std::vector<std::uint64_t> per_site;
     for (std::size_t i = 0; i < cluster.size(); ++i) {
-      per_site.push_back(cluster.site(i).processing().executed_total);
+      per_site.push_back(
+          cluster.site(i).introspect().metrics.counter("proc.executed"));
       total += per_site.back();
     }
     std::printf("%-22s | %9.1fs |", mix.name, secs);

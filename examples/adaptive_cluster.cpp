@@ -66,13 +66,13 @@ int main() {
   std::printf("\nwho did the work:\n");
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     auto& site = cluster.site(i);
+    metrics::MetricsSnapshot m = site.introspect().metrics;
     std::printf("  site %u (%-11s speed %.1f): %5llu microthreads, "
                 "%llu on-the-fly compiles\n",
                 site.id(), site.config().platform.c_str(),
                 site.config().speed,
-                static_cast<unsigned long long>(
-                    site.processing().executed_total),
-                static_cast<unsigned long long>(site.code().compiles));
+                static_cast<unsigned long long>(m.counter("proc.executed")),
+                static_cast<unsigned long long>(m.counter("code.compiles")));
   }
   std::printf("\nnote: the arm64 sites received *source*, compiled it "
               "locally, and uploaded\nbinaries back to the code "

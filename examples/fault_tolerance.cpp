@@ -36,7 +36,8 @@ int main() {
   cluster.loop().run_for(10 * kNanosPerSecond);
   std::printf("t=10s  checkpoints committed so far: %llu\n",
               static_cast<unsigned long long>(
-                  cluster.site(0).crash().checkpoints_committed));
+                  cluster.site(0).introspect().metrics.counter(
+                      "crash.checkpoints_committed")));
 
   std::printf("t=10s  >>> site 4 crashes (power cord incident) <<<\n");
   cluster.kill(3);
@@ -54,6 +55,7 @@ int main() {
               "committed epoch;\nthe dead site's frames and memory were "
               "adopted by the coordinator)\n",
               static_cast<unsigned long long>(
-                  cluster.site(0).crash().recoveries));
+                  cluster.site(0).introspect().metrics.counter(
+                      "crash.recoveries")));
   return 0;
 }

@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
       std::printf("  site %d executed %llu microthreads\n", i + 1,
                   static_cast<unsigned long long>(
                       cluster.site(static_cast<std::size_t>(i))
-                          .processing()
-                          .executed_total));
+                          .introspect()
+                          .metrics.counter("proc.executed")));
     }
   } else {
     LocalCluster cluster;

@@ -4,51 +4,24 @@
 
 namespace sdvm {
 
-/// Engine thread driver: wakeups and work notifications poke a condition
-/// variable; the engine loop re-pumps the site.
-class LocalCluster::EngineDriver final : public Driver {
- public:
-  void request_wakeup(Nanos delay) override {
-    (void)delay;  // the engine recomputes its sleep from Site::pump()
-    cv_.notify_all();
-  }
-  void notify_work() override { cv_.notify_all(); }
-
-  void wait(Nanos max_ns) {
-    std::unique_lock lk(m_);
-    cv_.wait_for(lk, std::chrono::nanoseconds(max_ns));
-  }
-  void stop() {
-    stopping_ = true;
-    cv_.notify_all();
-  }
-  [[nodiscard]] bool stopping() const { return stopping_; }
-
- private:
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::atomic<bool> stopping_{false};
-};
-
 LocalCluster::LocalCluster(Options options)
     : options_(std::move(options)), network_(options_.seed) {
   network_.set_default_link(options_.link);
 }
 
 LocalCluster::~LocalCluster() {
-  for (auto& e : entries_) e->driver->stop();
+  for (auto& e : entries_) e->engine.stop();
+  // Stop worker pools and leave the fabric before the fabric goes away.
   for (auto& e : entries_) {
-    if (e->engine.joinable()) e->engine.join();
+    e->site->processing().stop();
+    e->endpoint->close();
   }
-  // Stop worker pools before the fabric goes away.
-  for (auto& e : entries_) e->site->processing().stop();
 }
 
 Site& LocalCluster::add_site(SiteConfig config) {
   auto entry = std::make_unique<Entry>();
   Entry* e = entry.get();
-  e->driver = std::make_unique<EngineDriver>();
-  e->site = std::make_unique<Site>(config, WallClock::instance(), *e->driver);
+  e->site = std::make_unique<Site>(config, WallClock::instance(), e->engine);
   e->endpoint = network_.attach(
       [site = e->site.get()](std::vector<std::byte> bytes) {
         site->on_network_data(std::move(bytes));
@@ -68,7 +41,7 @@ Site& LocalCluster::add_site(SiteConfig config) {
   std::string contact =
       first ? "" : entries_.front()->endpoint->local_address();
   entries_.push_back(std::move(entry));
-  e->engine = std::thread([this, e] { engine_loop(e); });
+  e->engine.start(*e->site);
 
   if (first) {
     e->site->bootstrap();
@@ -92,15 +65,6 @@ void LocalCluster::add_sites(int n, const SiteConfig& base) {
     SiteConfig cfg = base;
     cfg.name = "site" + std::to_string(entries_.size() + 1);
     add_site(cfg);
-  }
-}
-
-void LocalCluster::engine_loop(Entry* e) {
-  while (!e->driver->stopping()) {
-    Nanos next = -1;
-    if (!e->killed) next = e->site->pump();
-    Nanos sleep = next < 0 ? 2'000'000 : std::min<Nanos>(next, 2'000'000);
-    e->driver->wait(std::max<Nanos>(sleep, 10'000));
   }
 }
 
@@ -206,6 +170,7 @@ Result<SiteId> LocalCluster::sign_off(std::size_t index) {
 void LocalCluster::kill(std::size_t index) {
   Entry* e = entries_.at(index).get();
   e->killed = true;
+  e->engine.stop();
   network_.kill(e->endpoint->local_address());
   e->site->processing().stop();
 }

@@ -13,6 +13,7 @@
 
 #include "api/cluster.hpp"
 #include "net/inproc.hpp"
+#include "runtime/engine_driver.hpp"
 #include "runtime/site.hpp"
 
 namespace sdvm {
@@ -75,21 +76,18 @@ class LocalCluster final : public Cluster {
   Status install_trace_hook(std::size_t index, FrameTraceHook hook) override;
 
  private:
-  class EngineDriver;
   struct Entry {
-    std::unique_ptr<EngineDriver> driver;
+    EngineDriver engine;  // declared first: outlives the site it pumps
     std::unique_ptr<net::InProcEndpoint> endpoint;
     std::unique_ptr<Site> site;
-    std::thread engine;
     bool killed = false;
   };
 
-  void engine_loop(Entry* e);
-
   Options options_;
-  net::InProcNetwork network_;
   std::vector<std::unique_ptr<Entry>> entries_;
-  std::mutex mu_;
+  // Declared after entries_, so it is destroyed first: its destructor joins
+  // the delayed-delivery thread while every receiving site is still alive.
+  net::InProcNetwork network_;
 };
 
 }  // namespace sdvm

@@ -6,34 +6,12 @@
 
 namespace sdvm {
 
-class TcpNode::EngineDriver final : public Driver {
- public:
-  void request_wakeup(Nanos) override { cv_.notify_all(); }
-  void notify_work() override { cv_.notify_all(); }
-
-  void wait(Nanos max_ns) {
-    std::unique_lock lk(m_);
-    cv_.wait_for(lk, std::chrono::nanoseconds(max_ns));
-  }
-  void stop() {
-    stopping_.store(true);
-    cv_.notify_all();
-  }
-  [[nodiscard]] bool stopping() const { return stopping_.load(); }
-
- private:
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::atomic<bool> stopping_{false};
-};
-
 TcpNode::TcpNode() = default;
 
 Result<std::unique_ptr<TcpNode>> TcpNode::create(Options options) {
   auto node = std::unique_ptr<TcpNode>(new TcpNode());
-  node->driver_ = std::make_unique<EngineDriver>();
   node->site_ = std::make_unique<Site>(options.site, WallClock::instance(),
-                                       *node->driver_);
+                                       node->engine_);
   Site* site = node->site_.get();
   auto transport = net::TcpTransport::listen(
       options.port,
@@ -97,13 +75,7 @@ Result<std::unique_ptr<TcpNode>> TcpNode::create(Options options) {
     node->site_->attach_transport(std::move(tcp));
   }
 
-  node->engine_ = std::thread([n = node.get()] {
-    while (!n->driver_->stopping()) {
-      Nanos next = n->site_->pump();
-      Nanos sleep = next < 0 ? 2'000'000 : std::min<Nanos>(next, 2'000'000);
-      n->driver_->wait(std::max<Nanos>(sleep, 10'000));
-    }
-  });
+  node->engine_.start(*node->site_);
   return node;
 }
 
@@ -231,8 +203,7 @@ Status TcpNode::install_trace_hook(std::size_t index, FrameTraceHook hook) {
 void TcpNode::shutdown() {
   bool expected = false;
   if (!stopped_.compare_exchange_strong(expected, true)) return;
-  driver_->stop();
-  if (engine_.joinable()) engine_.join();
+  engine_.stop();
   site_->processing().stop();
   if (site_->transport() != nullptr) site_->transport()->close();
 }

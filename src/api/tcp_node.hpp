@@ -10,6 +10,7 @@
 #include "api/cluster.hpp"
 #include "net/faulty.hpp"
 #include "net/tcp.hpp"
+#include "runtime/engine_driver.hpp"
 #include "runtime/site.hpp"
 
 namespace sdvm {
@@ -83,14 +84,12 @@ class TcpNode final : public Cluster {
   void shutdown();
 
  private:
-  class EngineDriver;
   TcpNode();
 
-  std::unique_ptr<EngineDriver> driver_;
+  EngineDriver engine_;  // declared first: outlives the site it pumps
   std::unique_ptr<Site> site_;
   net::TcpTransport* tcp_ = nullptr;        // owned via site transport chain
   net::FaultyTransport* faulty_ = nullptr;  // ditto (nullptr = no faults)
-  std::thread engine_;
   std::atomic<bool> stopped_{false};
 };
 

@@ -5,22 +5,22 @@
 namespace sdvm {
 
 void AttractionMemory::register_metrics(metrics::MetricsRegistry& registry) {
-  registry.register_counter("mem.migrations_in", &migrations_in);
-  registry.register_counter("mem.migrations_out", &migrations_out);
-  registry.register_counter("mem.local_hits", &local_hits);
-  registry.register_counter("mem.frames_created", &frames_created);
-  registry.register_counter("mem.params_applied", &params_applied);
-  registry.register_counter("mem.remote_fetches", &remote_fetches);
-  registry.register_counter("mem.directory_lookups", &directory_lookups);
+  registry.register_counter("mem.migrations_in", &migrations_in_);
+  registry.register_counter("mem.migrations_out", &migrations_out_);
+  registry.register_counter("mem.local_hits", &local_hits_);
+  registry.register_counter("mem.frames_created", &frames_created_);
+  registry.register_counter("mem.params_applied", &params_applied_);
+  registry.register_counter("mem.remote_fetches", &remote_fetches_);
+  registry.register_counter("mem.directory_lookups", &directory_lookups_);
   registry.register_gauge("mem.frames", [this] {
     return static_cast<std::int64_t>(frames_.size());
   });
   registry.register_gauge("mem.objects", [this] {
     return static_cast<std::int64_t>(objects_.size());
   });
-  registry.register_counter("dir.shard_handoffs", &shard_handoffs);
-  registry.register_counter("dir.lease_renewals", &lease_renewals);
-  registry.register_counter("dir.stale_epoch_rejects", &stale_epoch_rejects);
+  registry.register_counter("dir.shard_handoffs", &shard_handoffs_);
+  registry.register_counter("dir.lease_renewals", &lease_renewals_);
+  registry.register_counter("dir.stale_epoch_rejects", &stale_epoch_rejects_);
   registry.register_gauge("dir.shard_rebuild_ms", [this] {
     return static_cast<std::int64_t>(last_rebuild_ns_ / 1'000'000);
   });
@@ -35,7 +35,7 @@ void AttractionMemory::register_metrics(metrics::MetricsRegistry& registry) {
 
 FrameId AttractionMemory::create_frame(ProgramId pid, MicrothreadId tid,
                                        std::size_t nparams, int priority) {
-  ++frames_created;
+  ++frames_created_;
   FrameId id(site_.id(), next_local_id_++);
   Microframe frame(id, pid, tid, nparams, priority);
   site_.trace(FrameEvent::kCreated, id, tid);
@@ -73,7 +73,7 @@ Status AttractionMemory::apply_param(GlobalAddress frame, std::size_t slot,
                              << " failed: " << st.to_string();
       return st;
     }
-    ++params_applied;
+    ++params_applied_;
     site_.trace(FrameEvent::kParamApplied, frame, it->second.thread);
     // "Every time a result ... is applied to a waiting microframe, the
     // attraction memory checks whether this was the last missing
@@ -157,7 +157,7 @@ void AttractionMemory::adopt_frame(Microframe frame) {
                                << frame.id.value
                                << " rejected: " << st.to_string();
       } else {
-        ++params_applied;
+        ++params_applied_;
         site_.trace(FrameEvent::kParamApplied, frame.id, frame.thread);
       }
     }
@@ -222,8 +222,9 @@ void AttractionMemory::install_object(MemObject obj) {
   }
 }
 
-void AttractionMemory::evict_object(GlobalAddress addr) {
-  objects_.erase(addr);
+MemObject AttractionMemory::give_away(GlobalAddress addr) {
+  ++migrations_out_;
+  return std::move(objects_.extract(addr).mapped());
 }
 
 void AttractionMemory::set_directory_owner(GlobalAddress addr, SiteId owner) {
@@ -231,7 +232,7 @@ void AttractionMemory::set_directory_owner(GlobalAddress addr, SiteId owner) {
 }
 
 SiteId AttractionMemory::directory_owner(GlobalAddress addr) const {
-  ++directory_lookups;
+  ++directory_lookups_;
   auto it = directory_.find(addr);
   return it == directory_.end() ? kInvalidSite : it->second.owner;
 }
@@ -239,19 +240,19 @@ SiteId AttractionMemory::directory_owner(GlobalAddress addr) const {
 Result<MemObject*> AttractionMemory::attract(
     GlobalAddress addr, std::shared_ptr<FetchState>* wait) {
   if (auto* obj = local_object(addr); obj != nullptr) {
-    ++local_hits;
+    ++local_hits_;
     return obj;
   }
 
   if (sim_fetch_) {
     // Sim mode: the oracle migrates the object here immediately and
     // reports the modeled round-trip stall.
-    ++remote_fetches;
+    ++remote_fetches_;
     MemObject obj;
     auto stall = sim_fetch_(addr, &obj);
     if (!stall.is_ok()) return stall.status();
     sim_stall_ += stall.value();
-    ++migrations_in;
+    ++migrations_in_;
     install_object(std::move(obj));
     return local_object(addr);
   }
@@ -259,7 +260,7 @@ Result<MemObject*> AttractionMemory::attract(
   // Threaded modes: park on (or start) a fetch.
   auto it = fetching_.find(addr);
   if (it == fetching_.end()) {
-    ++remote_fetches;
+    ++remote_fetches_;
     it = fetching_.emplace(addr, std::make_shared<FetchState>()).first;
     begin_fetch(addr);
   }
@@ -343,7 +344,7 @@ void AttractionMemory::begin_fetch(GlobalAddress addr) {
       node.mapped()->signal(obj.status());
       return;
     }
-    ++migrations_in;
+    ++migrations_in_;
     install_object(std::move(obj).value());
     node.mapped()->signal(Status::ok());
   });
@@ -412,12 +413,9 @@ void AttractionMemory::grant_next(GlobalAddress addr) {
       fetching_.erase(addr);
       if (w.local) w.local->signal(Status::ok());
     } else {
-      MemObject* obj = local_object(addr);
       ByteWriter bw;
-      obj->serialize(bw);
-      evict_object(addr);
+      give_away(addr).serialize(bw);
       d.owner = w.requester;
-      ++migrations_out;
       SdMessage grant;
       grant.dst = w.requester;
       grant.src_mgr = grant.dst_mgr = ManagerId::kAttractionMemory;
@@ -522,11 +520,9 @@ void AttractionMemory::handle(const SdMessage& msg) {
         GlobalAddress addr = r.address();
         SdMessage reply;
         reply.src_mgr = reply.dst_mgr = ManagerId::kAttractionMemory;
-        if (MemObject* obj = local_object(addr); obj != nullptr) {
+        if (owns(addr)) {
           ByteWriter bw;
-          obj->serialize(bw);
-          evict_object(addr);
-          ++migrations_out;
+          give_away(addr).serialize(bw);
           reply.type = MsgType::kObjectReturn;
           reply.payload = bw.take();
         } else {
@@ -1088,7 +1084,7 @@ void AttractionMemory::graceful_handoff(
     std::uint32_t s, SiteId target,
     std::vector<ShardLeaseAnnounce::Entry>* announce) {
   const std::uint64_t epoch = next_epoch(s);
-  ++shard_handoffs;
+  ++shard_handoffs_;
   ShardHandoff h;
   h.shard = s;
   h.epoch = epoch;
@@ -1125,7 +1121,7 @@ void AttractionMemory::abdicate_to(std::uint32_t s, SiteId winner,
   // merges, existing entries win) and answer nothing more for the shard.
   std::vector<ShardDirEntry> entries = strip_shard(s, winner, epoch);
   if (!entries.empty()) {
-    ++shard_handoffs;
+    ++shard_handoffs_;
     ShardHandoff h{s, epoch, std::move(entries)};
     ByteWriter w;
     h.serialize(w);
@@ -1302,7 +1298,7 @@ void AttractionMemory::shard_tick() {
   // The tick is the renewal: it refreshes the currency that
   // shard_authoritative checks, riding the heartbeat cadence.
   const std::size_t held = shards_held();
-  if (held > 0) lease_renewals += held;
+  if (held > 0) lease_renewals_ += held;
   for (std::uint32_t s = 0; s < kNumShards; ++s) {
     ShardRebuild& rb = rebuilds_[s];
     if (rb.active &&
@@ -1354,7 +1350,7 @@ void AttractionMemory::flush_pending_registers() {
 }
 
 void AttractionMemory::reject_stale(const SdMessage& msg, std::uint32_t s) {
-  ++stale_epoch_rejects;
+  ++stale_epoch_rejects_;
   ShardStale st{s, kInvalidSite, 0};
   const ShardLease& l = leases_[s];
   if (l.holder != kInvalidSite && l.holder != site_.id() &&
@@ -1469,7 +1465,7 @@ void AttractionMemory::process_object_request(const SdMessage& msg,
   } catch (const DecodeError&) {
     return;
   }
-  ++directory_lookups;
+  ++directory_lookups_;
   const std::uint32_t s = req.shard;
   if (shard_of(req.addr) != s) {
     // Malformed route header: never guess, answer miss.
@@ -1527,7 +1523,7 @@ void AttractionMemory::process_register(const SdMessage& msg,
       park_remote(msg, s, parked_at);
     } else if (msg.hops < 8) {
       // Mis-routed registration: forward toward the holder, hop-capped.
-      ++stale_epoch_rejects;
+      ++stale_epoch_rejects_;
       send_register(reg.addr, reg.program, reg.owner, route,
                     static_cast<std::uint8_t>(msg.hops + 1));
     }

@@ -151,7 +151,9 @@ class AttractionMemory {
   [[nodiscard]] MemObject* local_object(GlobalAddress addr);
   [[nodiscard]] bool owns(GlobalAddress addr) const;
   void install_object(MemObject obj);  // sim oracle / recovery
-  void evict_object(GlobalAddress addr);
+  /// Hands a local object over to another site (migration grant, recall
+  /// or the sim oracle): removes it here and counts the migration out.
+  [[nodiscard]] MemObject give_away(GlobalAddress addr);
   void set_directory_owner(GlobalAddress addr, SiteId owner);
   [[nodiscard]] SiteId directory_owner(GlobalAddress addr) const;
 
@@ -236,22 +238,22 @@ class AttractionMemory {
   /// Registers this manager's instruments ("mem." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims: read "mem.*" via Site::introspect() instead.
-  metrics::Counter migrations_in;
-  metrics::Counter migrations_out;
-  metrics::Counter local_hits;
-  metrics::Counter frames_created;
-  metrics::Counter params_applied;
-  metrics::Counter remote_fetches;      // fetches that left the site
-  // mutable: counted inside const lookup paths (sim oracle resolution).
-  mutable metrics::Counter directory_lookups;
-
-  // Sharded-directory instruments ("dir." prefix in the registry).
-  metrics::Counter shard_handoffs;       // shards this site transferred away
-  metrics::Counter lease_renewals;       // per-tick renewals of held leases
-  metrics::Counter stale_epoch_rejects;  // routed requests rejected as stale
-
  private:
+  // Instruments (read "mem.* / dir.*" through Site::introspect()).
+  metrics::Counter migrations_in_;
+  metrics::Counter migrations_out_;
+  metrics::Counter local_hits_;
+  metrics::Counter frames_created_;
+  metrics::Counter params_applied_;
+  metrics::Counter remote_fetches_;      // fetches that left the site
+  // mutable: counted inside const lookup paths (sim oracle resolution).
+  mutable metrics::Counter directory_lookups_;
+
+  // Sharded-directory instruments ("dir." prefix).
+  metrics::Counter shard_handoffs_;       // shards this site transferred away
+  metrics::Counter lease_renewals_;       // per-tick renewals of held leases
+  metrics::Counter stale_epoch_rejects_;  // routed requests rejected as stale
+
   void frame_became_executable(Microframe frame);
   /// Ensures the object is local, possibly initiating migration. Returns
   /// the object, or sets *wait, or fails.

@@ -44,14 +44,14 @@ struct SignOnPayload {
 }  // namespace
 
 void ClusterManager::register_metrics(metrics::MetricsRegistry& registry) {
-  registry.register_counter("cluster.signon_messages", &signon_messages);
-  registry.register_counter("cluster.sites_admitted", &sites_admitted);
+  registry.register_counter("cluster.signon_messages", &signon_messages_);
+  registry.register_counter("cluster.sites_admitted", &sites_admitted_);
   registry.register_counter("cluster.sign_offs_received",
-                            &sign_offs_received);
-  registry.register_counter("cluster.deaths_detected", &deaths_detected);
-  registry.register_counter("cluster.heartbeats_sent", &heartbeats_sent);
+                            &sign_offs_received_);
+  registry.register_counter("cluster.deaths_detected", &deaths_detected_);
+  registry.register_counter("cluster.heartbeats_sent", &heartbeats_sent_);
   registry.register_counter("cluster.heartbeats_received",
-                            &heartbeats_received);
+                            &heartbeats_received_);
   registry.register_gauge("cluster.live_sites", [this] {
     return static_cast<std::int64_t>(cluster_size());
   });
@@ -89,7 +89,7 @@ void ClusterManager::join(const std::string& contact_address,
   msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
   msg.type = MsgType::kSignOnRequest;
   msg.payload = p.serialize();
-  ++signon_messages;
+  ++signon_messages_;
   Status st = site_.messages().send_to_address(contact_address, msg);
   if (!st.is_ok() && join_done_) {
     auto cb = std::move(join_done_);
@@ -119,7 +119,7 @@ void ClusterManager::retry_join() {
   msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
   msg.type = MsgType::kSignOnRequest;
   msg.payload = p.serialize();
-  ++signon_messages;
+  ++signon_messages_;
   (void)site_.messages().send_to_address(join_contact_, msg);
   site_.schedule_after(site_.config().failure_timeout,
                        [this] { retry_join(); });
@@ -409,7 +409,7 @@ std::optional<SiteId> ClusterManager::try_allocate_id() {
 }
 
 void ClusterManager::handle_sign_on_request(const SdMessage& msg) {
-  ++signon_messages;
+  ++signon_messages_;
   // A joiner behind a flaky link retries its sign-on until the deadline
   // expires; duplicates must not allocate a second logical id. If an alive
   // site already claims the request's physical address, re-send its reply.
@@ -449,7 +449,7 @@ void ClusterManager::handle_sign_on_request(const SdMessage& msg) {
       fwd.src_mgr = fwd.dst_mgr = ManagerId::kCluster;
       fwd.type = MsgType::kSignOnRequest;
       fwd.payload = msg.payload;
-      ++signon_messages;
+      ++signon_messages_;
       (void)site_.messages().send(std::move(fwd));
       break;
     }
@@ -471,7 +471,7 @@ void ClusterManager::handle_sign_on_request(const SdMessage& msg) {
       fwd.src_mgr = fwd.dst_mgr = ManagerId::kCluster;
       fwd.type = MsgType::kSignOnRequest;
       fwd.payload = msg.payload;
-      ++signon_messages;
+      ++signon_messages_;
       (void)site_.messages().send(std::move(fwd));
       break;
     }
@@ -497,7 +497,7 @@ void ClusterManager::complete_sign_on(const SdMessage& request, SiteId new_id) {
   alive_entry_added(new_id);
 
   refresh_local_info();
-  ++sites_admitted;
+  ++sites_admitted_;
   send_sign_on_reply(info.address, new_id);
   // Announce the admission to every live member right away. Round-robin
   // gossip alone spreads a new entry too slowly for large rings: the new
@@ -514,7 +514,7 @@ void ClusterManager::complete_sign_on(const SdMessage& request, SiteId new_id) {
     msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
     msg.type = MsgType::kSiteGossip;
     msg.payload = entry;
-    ++signon_messages;
+    ++signon_messages_;
     burst.push_back(std::move(msg));
   }
   (void)site_.messages().send_burst(std::move(burst));
@@ -534,7 +534,7 @@ void ClusterManager::send_sign_on_reply(const std::string& address,
   reply.src_mgr = reply.dst_mgr = ManagerId::kCluster;
   reply.type = MsgType::kSignOnReply;
   reply.payload = w.take();
-  ++signon_messages;
+  ++signon_messages_;
   (void)site_.messages().send_to_address(address, std::move(reply));
 }
 
@@ -543,7 +543,7 @@ void ClusterManager::request_id_block(std::function<void()> then) {
   req.dst = 1;
   req.src_mgr = req.dst_mgr = ManagerId::kCluster;
   req.type = MsgType::kIdBlockRequest;
-  ++signon_messages;
+  ++signon_messages_;
   (void)site_.messages().request(
       req, [this, then = std::move(then)](Result<SdMessage> r) {
         if (!r.is_ok()) {
@@ -608,7 +608,7 @@ void ClusterManager::handle(const SdMessage& msg) {
       reply.src_mgr = reply.dst_mgr = ManagerId::kCluster;
       reply.type = MsgType::kIdBlockReply;
       reply.payload = w.take();
-      ++signon_messages;
+      ++signon_messages_;
       (void)site_.messages().respond(msg, std::move(reply));
       break;
     }
@@ -618,7 +618,7 @@ void ClusterManager::handle(const SdMessage& msg) {
         ByteReader r(msg.payload);
         SiteId departing = r.site();
         SiteId successor = r.site();
-        ++sign_offs_received;
+        ++sign_offs_received_;
         auto it = sites_.find(departing);
         if (it != sites_.end()) {
           const bool was_alive = it->second.alive;
@@ -639,7 +639,7 @@ void ClusterManager::handle(const SdMessage& msg) {
     }
 
     case MsgType::kHeartbeat: {
-      ++heartbeats_received;
+      ++heartbeats_received_;
       try {
         ByteReader r(msg.payload);
         auto info = SiteInfo::deserialize(r);
@@ -681,7 +681,7 @@ void ClusterManager::mark_dead(SiteId id, bool gossip) {
   it->second.version++;
   mark_dirty(id, kRespreadRounds);
   alive_entry_died(id);
-  ++deaths_detected;
+  ++deaths_detected_;
   SDVM_WARN(site_.tag()) << "site " << id << " declared dead";
   site_.on_site_dead(id);
   if (gossip) {
@@ -793,7 +793,7 @@ void ClusterManager::on_tick() {
     msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
     msg.type = MsgType::kHeartbeat;
     msg.payload = w.bytes();
-    ++heartbeats_sent;
+    ++heartbeats_sent_;
     beats.push_back(std::move(msg));
   }
   (void)site_.messages().send_burst(std::move(beats));

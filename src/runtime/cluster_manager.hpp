@@ -97,16 +97,15 @@ class ClusterManager {
   /// Registers this manager's instruments ("cluster." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims (bench/ablation_idalloc): read "cluster.*" via
-  // Site::introspect() instead.
-  metrics::Counter signon_messages;
-  metrics::Counter sites_admitted;      // joins we completed
-  metrics::Counter sign_offs_received;  // graceful leaves we learned of
-  metrics::Counter deaths_detected;     // failure-detector verdicts
-  metrics::Counter heartbeats_sent;
-  metrics::Counter heartbeats_received;
-
  private:
+  // Instruments (read "cluster.*" through Site::introspect()).
+  metrics::Counter signon_messages_;
+  metrics::Counter sites_admitted_;      // joins we completed
+  metrics::Counter sign_offs_received_;  // graceful leaves we learned of
+  metrics::Counter deaths_detected_;     // failure-detector verdicts
+  metrics::Counter heartbeats_sent_;
+  metrics::Counter heartbeats_received_;
+
   void handle_sign_on_request(const SdMessage& msg);
   void complete_sign_on(const SdMessage& original_request, SiteId new_id);
   void send_sign_on_reply(const std::string& address, SiteId new_id);

@@ -29,12 +29,12 @@ Result<Executable> make_bytecode_executable(
 }
 
 void CodeManager::register_metrics(metrics::MetricsRegistry& registry) {
-  registry.register_counter("code.compiles", &compiles);
-  registry.register_counter("code.binary_fetches", &binary_fetches);
-  registry.register_counter("code.source_fetches", &source_fetches);
-  registry.register_counter("code.uploads_received", &uploads_received);
-  registry.register_counter("code.cache_hits", &cache_hits);
-  registry.register_histogram("code.compile_ns", &compile_ns);
+  registry.register_counter("code.compiles", &compiles_);
+  registry.register_counter("code.binary_fetches", &binary_fetches_);
+  registry.register_counter("code.source_fetches", &source_fetches_);
+  registry.register_counter("code.uploads_received", &uploads_received_);
+  registry.register_counter("code.cache_hits", &cache_hits_);
+  registry.register_histogram("code.compile_ns", &compile_ns_);
   registry.register_gauge("code.cached_executables", [this] {
     return static_cast<std::int64_t>(cache_.size());
   });
@@ -54,7 +54,7 @@ std::optional<Executable> CodeManager::resolve_local(ProgramId pid,
                                                      MicrothreadId tid) {
   Key key{pid, tid};
   if (auto it = cache_.find(key); it != cache_.end()) {
-    ++cache_hits;
+    ++cache_hits_;
     return it->second;
   }
 
@@ -91,14 +91,14 @@ std::optional<Executable> CodeManager::resolve_local(ProgramId pid,
     auto started = std::chrono::steady_clock::now();
     auto compiled =
         microc::compile(it->second, info->thread_names[tid]);
-    compile_ns.record(wall_nanos_since(started));
+    compile_ns_.record(wall_nanos_since(started));
     if (!compiled.is_ok()) {
       SDVM_ERROR(site_.tag())
           << "compile of '" << info->thread_names[tid]
           << "' failed: " << compiled.status().to_string();
       return std::nullopt;
     }
-    ++compiles;
+    ++compiles_;
     site_.sim_charge(static_cast<Nanos>(it->second.size()) *
                      site_.config().sim_nanos_per_compiled_byte);
     auto prog = std::make_shared<const microc::Program>(
@@ -200,7 +200,7 @@ void CodeManager::fetch_from(ProgramId pid, MicrothreadId tid,
           finish(key, prog.status());
           return;
         }
-        ++binary_fetches;
+        ++binary_fetches_;
         auto shared = std::make_shared<const microc::Program>(
             std::move(prog).value());
         auto exec = make_bytecode_executable(shared);
@@ -219,7 +219,7 @@ void CodeManager::fetch_from(ProgramId pid, MicrothreadId tid,
         // "If the microthread is not available in the new site's platform
         // specific binary format, it will receive the source code ... and
         // compile it on the fly."
-        ++source_fetches;
+        ++source_fetches_;
         ByteReader rd(reply.payload);
         std::string source;
         try {
@@ -232,12 +232,12 @@ void CodeManager::fetch_from(ProgramId pid, MicrothreadId tid,
         auto started = std::chrono::steady_clock::now();
         auto compiled =
             microc::compile(source, pinfo->thread_names[tid]);
-        compile_ns.record(wall_nanos_since(started));
+        compile_ns_.record(wall_nanos_since(started));
         if (!compiled.is_ok()) {
           finish(key, compiled.status());
           return;
         }
-        ++compiles;
+        ++compiles_;
         site_.sim_charge(static_cast<Nanos>(source.size()) *
                          site_.config().sim_nanos_per_compiled_byte);
         auto shared = std::make_shared<const microc::Program>(
@@ -336,7 +336,7 @@ void CodeManager::handle(const SdMessage& msg) {
         auto blob = r.blob();
         auto prog = microc::Program::deserialize(blob);
         if (prog.is_ok()) {
-          ++uploads_received;
+          ++uploads_received_;
           binaries_[{Key{msg.program, tid}, platform}] =
               std::make_shared<const microc::Program>(std::move(prog).value());
         }

@@ -71,17 +71,16 @@ class CodeManager {
   /// Registers this manager's instruments ("code." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims (bench/ablation_compile): read "code.*" via
-  // Site::introspect() instead.
-  metrics::Counter compiles;
-  metrics::Counter binary_fetches;
-  metrics::Counter source_fetches;
-  metrics::Counter uploads_received;
-  metrics::Counter cache_hits;      // resolve served from the local cache
-  /// On-the-fly compile wall time (real nanos, both modes).
-  metrics::Histogram compile_ns;
-
  private:
+  // Instruments (read "code.*" through Site::introspect()).
+  metrics::Counter compiles_;
+  metrics::Counter binary_fetches_;
+  metrics::Counter source_fetches_;
+  metrics::Counter uploads_received_;
+  metrics::Counter cache_hits_;      // resolve served from the local cache
+  /// On-the-fly compile wall time (real nanos, both modes).
+  metrics::Histogram compile_ns_;
+
   struct Key {
     ProgramId pid;
     MicrothreadId tid;

@@ -102,7 +102,7 @@ void CrashManager::persist_local(const DurableEpoch& snap) {
   if (cs == nullptr) return;
   Status st = cs->persist(snap);
   if (st.is_ok()) {
-    ++replicas_persisted;
+    ++replicas_persisted_;
   } else {
     SDVM_WARN(site_.tag()) << "persisting epoch " << snap.epoch
                            << " of program " << snap.pid.value
@@ -320,7 +320,7 @@ void CrashManager::maybe_finish_commit(ProgramId pid) {
 
   committed_[pid] = std::move(round.snap);
   last_checkpoint_[pid] = site_.clock().now();
-  ++checkpoints_committed;
+  ++checkpoints_committed_;
 
   ByteWriter w;
   w.u64(round.epoch);
@@ -610,7 +610,7 @@ void CrashManager::begin_recovery(ProgramId pid, SiteId dead) {
   auto snap_it = committed_.find(pid);
   const DurableEpoch& snap =
       snap_it == committed_.end() ? epoch0 : snap_it->second;
-  ++recoveries;
+  ++recoveries_;
   SDVM_WARN(site_.tag()) << "recovering program " << pid.value
                          << " from epoch " << snap.epoch << " after site "
                          << dead << " died";

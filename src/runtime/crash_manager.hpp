@@ -99,10 +99,10 @@ class CrashManager {
   /// Registers this manager's instruments ("crash." prefix).
   void register_metrics(metrics::MetricsRegistry& registry) {
     registry.register_counter("crash.checkpoints_committed",
-                              &checkpoints_committed);
-    registry.register_counter("crash.recoveries", &recoveries);
+                              &checkpoints_committed_);
+    registry.register_counter("crash.recoveries", &recoveries_);
     registry.register_counter("crash.replicas_persisted",
-                              &replicas_persisted);
+                              &replicas_persisted_);
     registry.register_gauge("crash.committed_epoch", [this] {
       return static_cast<std::int64_t>(max_committed_epoch());
     });
@@ -114,12 +114,12 @@ class CrashManager {
     });
   }
 
-  // Deprecated shims: read "crash.*" via Site::introspect() instead.
-  metrics::Counter checkpoints_committed;
-  metrics::Counter recoveries;
-  metrics::Counter replicas_persisted;
-
  private:
+  // Instruments (read "crash.*" through Site::introspect()).
+  metrics::Counter checkpoints_committed_;
+  metrics::Counter recoveries_;
+  metrics::Counter replicas_persisted_;
+
   // -- coordinator side --
   void begin_checkpoint(ProgramId pid);
   void maybe_commit(ProgramId pid);

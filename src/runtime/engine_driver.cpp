@@ -1,0 +1,30 @@
+#include "runtime/engine_driver.hpp"
+
+#include <algorithm>
+#include <chrono>
+
+#include "runtime/site.hpp"
+
+namespace sdvm {
+
+void EngineDriver::start(Site& site) {
+  thread_ = std::thread([this, &site] {
+    while (!stopping_.load()) {
+      Nanos next = site.pump();
+      // Sleep until the next due timer, but wake at least every 2 ms as a
+      // safety net against notifications that arrive mid-pump.
+      Nanos sleep = next < 0 ? 2'000'000 : std::min<Nanos>(next, 2'000'000);
+      std::unique_lock lk(m_);
+      cv_.wait_for(lk,
+                   std::chrono::nanoseconds(std::max<Nanos>(sleep, 10'000)));
+    }
+  });
+}
+
+void EngineDriver::stop() {
+  stopping_.store(true);
+  cv_.notify_all();
+  if (thread_.joinable()) thread_.join();
+}
+
+}  // namespace sdvm

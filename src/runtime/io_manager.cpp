@@ -5,10 +5,10 @@
 namespace sdvm {
 
 void IoManager::register_metrics(metrics::MetricsRegistry& registry) {
-  registry.register_counter("io.rerouted_reads", &rerouted_reads);
-  registry.register_counter("io.rerouted_writes", &rerouted_writes);
-  registry.register_counter("io.outputs_delivered", &outputs_delivered);
-  registry.register_counter("io.outputs_deduped", &outputs_deduped);
+  registry.register_counter("io.rerouted_reads", &rerouted_reads_);
+  registry.register_counter("io.rerouted_writes", &rerouted_writes_);
+  registry.register_counter("io.outputs_delivered", &outputs_delivered_);
+  registry.register_counter("io.outputs_deduped", &outputs_deduped_);
   registry.register_gauge("io.vfs_files", [this] {
     return static_cast<std::int64_t>(vfs_.size());
   });
@@ -40,7 +40,7 @@ void IoManager::output_str(ProgramId pid, std::string text) {
 }
 
 void IoManager::deliver_output(ProgramId pid, std::string line) {
-  ++outputs_delivered;
+  ++outputs_delivered_;
   auto& log = outputs_[pid];
   IoRecord rec;
   // Tagged with the last committed epoch: everything the program does
@@ -82,7 +82,7 @@ void IoManager::on_rollback(ProgramId pid, std::uint64_t epoch) {
   std::erase_if(log, [epoch](const IoRecord& rec) {
     return rec.epoch >= epoch;
   });
-  outputs_deduped += static_cast<std::uint64_t>(before - log.size());
+  outputs_deduped_ += static_cast<std::uint64_t>(before - log.size());
   // seq stays positional: replayed lines refill the truncated tail.
   for (std::size_t i = 0; i < log.size(); ++i) log[i].seq = i;
 }
@@ -125,7 +125,7 @@ Result<std::string> IoManager::try_file_read(const std::string& path,
   owner = site_.cluster().resolve_successor(owner);
   if (owner == site_.id()) return vfs_get(rest);
 
-  ++rerouted_reads;
+  ++rerouted_reads_;
   if (sim_file_) {
     auto r = sim_file_(owner, rest, /*write=*/false, {});
     site_.memory().add_sim_stall(r.stall);
@@ -169,7 +169,7 @@ Status IoManager::try_file_write(const std::string& path, std::string data,
     return Status::ok();
   }
 
-  ++rerouted_writes;
+  ++rerouted_writes_;
   if (sim_file_) {
     auto r = sim_file_(owner, rest, /*write=*/true, std::move(data));
     site_.memory().add_sim_stall(r.stall);

@@ -104,13 +104,13 @@ class IoManager {
   /// Registers this manager's instruments ("io." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims: read "io.*" via Site::introspect() instead.
-  metrics::Counter rerouted_reads;
-  metrics::Counter rerouted_writes;
-  metrics::Counter outputs_delivered;  // lines landed at the frontend
-  metrics::Counter outputs_deduped;    // replayed lines dropped on rollback
-
  private:
+  // Instruments (read "io.*" through Site::introspect()).
+  metrics::Counter rerouted_reads_;
+  metrics::Counter rerouted_writes_;
+  metrics::Counter outputs_delivered_;  // lines landed at the frontend
+  metrics::Counter outputs_deduped_;    // replayed lines dropped on rollback
+
   /// Splits "@3/data.txt" into (3, "data.txt"); plain paths → local id.
   [[nodiscard]] std::pair<SiteId, std::string> parse_path(
       const std::string& path) const;

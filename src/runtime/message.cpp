@@ -43,8 +43,6 @@ const char* to_string(MsgType t) {
     case MsgType::kFileReadReply:      return "file-read-reply";
     case MsgType::kFileWrite:          return "file-write";
     case MsgType::kFileWriteAck:       return "file-write-ack";
-    case MsgType::kStatusQuery:        return "status-query";
-    case MsgType::kStatusReply:        return "status-reply";
     case MsgType::kMetricsQuery:       return "metrics-query";
     case MsgType::kMetricsReply:       return "metrics-reply";
     case MsgType::kCheckpointFreeze:   return "checkpoint-freeze";

@@ -74,9 +74,7 @@ enum class MsgType : std::uint16_t {
   kFileWriteAck,
 
   // --- site manager ---
-  kStatusQuery = 80,
-  kStatusReply,
-  kMetricsQuery,         // introspection: ask for a full SiteStatus
+  kMetricsQuery = 82,    // introspection: ask for a full SiteStatus
   kMetricsReply,         // serialized SiteStatus snapshot
 
   // --- crash manager ---

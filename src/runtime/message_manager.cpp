@@ -7,11 +7,11 @@
 namespace sdvm {
 
 void MessageManager::register_metrics(metrics::MetricsRegistry& registry) {
-  registry.register_counter("msg.sent", &sent_count);
-  registry.register_counter("msg.received", &received_count);
-  registry.register_counter("msg.bytes_sent", &bytes_sent);
-  registry.register_counter("msg.bytes_received", &bytes_received);
-  registry.register_counter("msg.forwarded_departed", &forwarded_departed);
+  registry.register_counter("msg.sent", &sent_count_);
+  registry.register_counter("msg.received", &received_count_);
+  registry.register_counter("msg.bytes_sent", &bytes_sent_);
+  registry.register_counter("msg.bytes_received", &bytes_received_);
+  registry.register_counter("msg.forwarded_departed", &forwarded_departed_);
   registry.register_provider([this](metrics::MetricsSnapshot& s) {
     for (std::size_t i = 0; i < kTypeSlots; ++i) {
       if (sent_by_type_[i] != 0) {
@@ -73,7 +73,7 @@ Status MessageManager::send_burst(std::vector<SdMessage> msgs) {
     }
     count_sent(msg.type);
     auto wire = site_.security().protect(msg);
-    bytes_sent += wire.size();
+    bytes_sent_ += wire.size();
     auto it = std::find_if(by_dest.begin(), by_dest.end(), [&](auto& e) {
       return e.first == addr.value();
     });
@@ -133,7 +133,7 @@ Status MessageManager::transmit(SdMessage msg) {
   }
   count_sent(msg.type);
   auto wire = site_.security().protect(msg);
-  bytes_sent += wire.size();
+  bytes_sent_ += wire.size();
   return site_.transport()->send(addr.value(), std::move(wire));
 }
 
@@ -146,7 +146,7 @@ Status MessageManager::send_to_address(const std::string& physical,
   }
   count_sent(msg.type);
   auto wire = site_.security().protect(msg);
-  bytes_sent += wire.size();
+  bytes_sent_ += wire.size();
   return site_.transport()->send(physical, std::move(wire));
 }
 
@@ -157,7 +157,7 @@ void MessageManager::on_raw(std::span<const std::byte> wire) {
                            << msg.status().to_string();
     return;
   }
-  bytes_received += wire.size();
+  bytes_received_ += wire.size();
   count_received(msg.value().type);
   deliver(msg.value());
 }
@@ -226,9 +226,9 @@ void MessageManager::on_raw_departed(std::span<const std::byte> wire) {
   // respond() still reaches the original requester.
   m.reply_to = 0;
   ++m.hops;
-  ++forwarded_departed;
+  ++forwarded_departed_;
   auto out = site_.security().protect(m);
-  bytes_sent += out.size();
+  bytes_sent_ += out.size();
   (void)site_.transport()->send(addr.value(), std::move(out));
 }
 

@@ -70,25 +70,25 @@ class MessageManager {
   /// provider that emits per-message-type send/receive families.
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims: read "msg.*" via Site::introspect() instead.
-  metrics::Counter sent_count;
-  metrics::Counter received_count;
-  metrics::Counter bytes_sent;      // wire bytes (loopback excluded)
-  metrics::Counter bytes_received;
-  metrics::Counter forwarded_departed;  // relayed after sign-off
-
  private:
+  // Instruments (read "msg.*" through Site::introspect()).
+  metrics::Counter sent_count_;
+  metrics::Counter received_count_;
+  metrics::Counter bytes_sent_;      // wire bytes (loopback excluded)
+  metrics::Counter bytes_received_;
+  metrics::Counter forwarded_departed_;  // relayed after sign-off
+
   Status transmit(SdMessage msg);
   void deliver(const SdMessage& msg);
 
   static constexpr std::size_t kTypeSlots = 128;
   void count_sent(MsgType t) {
-    ++sent_count;
+    ++sent_count_;
     auto i = static_cast<std::size_t>(t);
     if (i < kTypeSlots) ++sent_by_type_[i];
   }
   void count_received(MsgType t) {
-    ++received_count;
+    ++received_count_;
     auto i = static_cast<std::size_t>(t);
     if (i < kTypeSlots) ++received_by_type_[i];
   }

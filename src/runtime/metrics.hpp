@@ -21,9 +21,7 @@
 
 namespace sdvm::metrics {
 
-/// Monotonically increasing event count. Drop-in for the managers' former
-/// bare std::uint64_t statistics fields: ++/+=/read-as-integer all work, so
-/// legacy call sites (tests, benches) compile unchanged.
+/// Monotonically increasing event count.
 class Counter {
  public:
   Counter& operator++() {
@@ -35,8 +33,6 @@ class Counter {
     v_ += d;
     return *this;
   }
-  // NOLINTNEXTLINE: implicit read keeps `u64 x = mgr.counter` call sites.
-  operator std::uint64_t() const { return v_; }
   [[nodiscard]] std::uint64_t value() const { return v_; }
   void reset() { v_ = 0; }
 

@@ -8,10 +8,10 @@
 namespace sdvm {
 
 void ProcessingManager::register_metrics(metrics::MetricsRegistry& registry) {
-  registry.register_counter("proc.executed", &executed_total);
-  registry.register_counter("proc.trapped", &trapped_total);
-  registry.register_histogram("proc.runtime_ns", &runtime_ns);
-  registry.register_histogram("proc.vm_dispatch_ns", &vm_dispatch_ns);
+  registry.register_counter("proc.executed", &executed_);
+  registry.register_counter("proc.trapped", &trapped_);
+  registry.register_histogram("proc.runtime_ns", &runtime_ns_);
+  registry.register_histogram("proc.vm_dispatch_ns", &vm_dispatch_ns_);
   registry.register_gauge("proc.running", [this] {
     return static_cast<std::int64_t>(running());
   });
@@ -46,7 +46,7 @@ void ProcessingManager::worker_loop() {
   std::unique_lock lk(worker_mu_);
   while (!stopping_) {
     lk.unlock();
-    bool did_work = execute_once();
+    bool did_work = execute_once() >= 0;
     lk.lock();
     if (!did_work && !stopping_) {
       // Nothing ready; sleep until kicked (bounded, as a safety net
@@ -80,14 +80,10 @@ BodyResult run_body(const Executable& exec, ExecContext& ctx) {
               0, 0};
     }
   }
+  // The code manager pre-decoded and verified every bytecode artifact, so
+  // the VM runs the direct-threaded unchecked loop.
   auto started = std::chrono::steady_clock::now();
-  // Fast path: the code manager pre-decoded and verified the artifact, so
-  // the VM runs the direct-threaded unchecked loop. The decode-on-the-fly
-  // fallback only covers executables built outside the code manager.
-  auto result =
-      exec.decoded != nullptr
-          ? microc::Vm::run(*exec.decoded, *exec.bytecode, ctx)
-          : microc::Vm::run(*exec.bytecode, ctx);
+  auto result = microc::Vm::run(*exec.decoded, *exec.bytecode, ctx);
   Nanos vm_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - started)
                     .count();
@@ -96,56 +92,9 @@ BodyResult run_body(const Executable& exec, ExecContext& ctx) {
 
 }  // namespace
 
-bool ProcessingManager::execute_once() {
-  Microframe frame;
-  Executable exec;
-  ProgramInfo info;
-  {
-    std::lock_guard lk(site_.lock());
-    if (frozen_.load()) return false;
-    auto work = site_.scheduling().take_ready();
-    if (!work.has_value()) return false;
-    frame = std::move(work->frame);
-    exec = std::move(work->exec);
-    const ProgramInfo* pi = site_.programs().find(frame.program);
-    if (pi == nullptr) return true;  // program vanished; consume the frame
-    info = *pi;
-    running_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  {
-    std::lock_guard lk(site_.lock());
-    site_.trace(FrameEvent::kExecutionStarted, frame.id, frame.thread);
-  }
-  ExecContext ctx(site_, std::move(frame), std::move(info));
-  auto started = std::chrono::steady_clock::now();
-  auto [status, cycles, vm_ns] = run_body(exec, ctx);
-  Nanos elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - started)
-                      .count();
-
-  {
-    std::lock_guard lk(site_.lock());
-    running_.fetch_sub(1, std::memory_order_relaxed);
-    ++executed_total;
-    runtime_ns.record(elapsed);
-    if (vm_ns > 0) vm_dispatch_ns.record(vm_ns);
-    AccountEntry& acct = ledger_[ctx.program()];
-    acct.microthreads += 1;
-    acct.vm_instructions += cycles;
-    acct.charged_cycles += static_cast<std::uint64_t>(ctx.charged_cycles());
-    site_.trace(FrameEvent::kConsumed, ctx.frame().id, ctx.frame().thread);
-    if (!status.is_ok()) {
-      ++trapped_total;
-      SDVM_WARN(site_.tag()) << "microthread failed: " << status.to_string();
-    }
-  }
-  site_.driver().notify_work();
-  return true;
-}
-
-Nanos ProcessingManager::execute_one_sim() {
-  // Called under the site lock by the pump; single-threaded by design.
+Nanos ProcessingManager::execute_once() {
+  const bool sim = site_.driver().simulated();
+  std::unique_lock lk(site_.lock());
   if (frozen_.load()) return -1;
   auto work = site_.scheduling().take_ready();
   if (!work.has_value()) return -1;
@@ -155,24 +104,41 @@ Nanos ProcessingManager::execute_one_sim() {
   ExecContext ctx(site_, std::move(work->frame), *pi);
   site_.trace(FrameEvent::kExecutionStarted, ctx.frame().id,
               ctx.frame().thread);
-  site_.messages().set_defer(&ctx.deferred);
-  running_.store(1, std::memory_order_relaxed);
+  // Sim mode: results leave when the microthread virtually completes.
+  if (sim) site_.messages().set_defer(&ctx.deferred);
+  running_.fetch_add(1, std::memory_order_relaxed);
+  // The body runs outside the lock so worker threads overlap; in sim mode
+  // the pump still holds the (recursive) site lock.
+  lk.unlock();
+  auto started = std::chrono::steady_clock::now();
   auto [status, cycles, vm_ns] = run_body(work->exec, ctx);
-  running_.store(0, std::memory_order_relaxed);
-  if (vm_ns > 0) vm_dispatch_ns.record(vm_ns);
-  site_.messages().set_defer(nullptr);
+  Nanos elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - started)
+                      .count();
+  lk.lock();
 
-  ++executed_total;
+  if (sim) site_.messages().set_defer(nullptr);
+  running_.fetch_sub(1, std::memory_order_relaxed);
+  ++executed_;
+  runtime_ns_.record(elapsed);
+  if (vm_ns > 0) vm_dispatch_ns_.record(vm_ns);
   AccountEntry& acct = ledger_[ctx.program()];
   acct.microthreads += 1;
   acct.vm_instructions += cycles;
   acct.charged_cycles += static_cast<std::uint64_t>(ctx.charged_cycles());
   site_.trace(FrameEvent::kConsumed, ctx.frame().id, ctx.frame().thread);
   if (!status.is_ok()) {
-    ++trapped_total;
+    ++trapped_;
     SDVM_WARN(site_.tag()) << "microthread failed: " << status.to_string();
   }
+  if (sim) return complete_virtually(ctx, cycles);
+  lk.unlock();
+  site_.driver().notify_work();
+  return 0;
+}
 
+Nanos ProcessingManager::complete_virtually(ExecContext& ctx,
+                                            std::uint64_t cycles) {
   double speed = std::max(site_.config().speed, 1e-6);
   Nanos compute = static_cast<Nanos>(
       (static_cast<double>(cycles) * site_.config().sim_nanos_per_instr +
@@ -180,7 +146,6 @@ Nanos ProcessingManager::execute_one_sim() {
       speed);
   Nanos stall = site_.memory().take_sim_stall();
   Nanos cost = std::max<Nanos>(compute + stall, 1);
-  runtime_ns.record(cost);
 
   // Results leave the site when the microthread (virtually) completes
   // (paper §3.2 step 4: "send the results").

@@ -7,7 +7,8 @@
 // In threaded modes the slots are real worker threads; a microthread that
 // blocks on remote memory parks its worker while the others keep running.
 // In sim mode the event loop serializes execution: one microthread per
-// site at a time, with virtual-time cost accounting.
+// site at a time, with virtual-time cost accounting. Both run the same
+// execute_once(); sim mode only adds the virtual cost at the end.
 #pragma once
 
 #include <atomic>
@@ -25,6 +26,7 @@
 
 namespace sdvm {
 
+class ExecContext;
 class Site;
 
 class ProcessingManager {
@@ -39,14 +41,12 @@ class ProcessingManager {
   /// New ready work may be available — wake an idle worker.
   void kick();
 
-  /// Sim mode: executes one ready microthread synchronously (called by the
-  /// pump under the site lock). Returns the virtual cost, or -1 if there
-  /// was nothing to run.
-  Nanos execute_one_sim();
-
-  /// Executes one unit of work in the caller's thread (worker body and the
-  /// sim path share this). Returns false if no work was available.
-  bool execute_once();
+  /// Takes one ready microframe, runs its microthread and accounts the
+  /// result: the one execution path of every deployment mode. Workers
+  /// call it in threaded modes; Site::pump() calls it under the site lock
+  /// in sim mode. Returns -1 if no work was available, otherwise the
+  /// virtual cost in sim mode (0 in threaded modes).
+  Nanos execute_once();
 
   [[nodiscard]] int running() const {
     return running_.load(std::memory_order_relaxed);
@@ -59,23 +59,18 @@ class ProcessingManager {
   /// Registers this manager's instruments ("proc." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims: read "proc.*" via Site::introspect() instead.
-  metrics::Counter executed_total;     // guarded by the site lock
-  metrics::Counter trapped_total;
-  /// Microthread runtime: wall nanos in threaded modes, virtual cost in
-  /// sim mode (both recorded under the site lock).
-  metrics::Histogram runtime_ns;
-  /// Wall nanos spent inside the VM dispatch loop for bytecode
-  /// microthreads (all modes) — the interpreter-overhead component of
-  /// runtime_ns, separated so bench/overhead_sequential can attribute
-  /// MicroC-vs-native overhead to the VM rather than SDVM machinery.
-  metrics::Histogram vm_dispatch_ns;
+  /// Microthreads executed here (the "proc.executed" counter).
+  [[nodiscard]] std::uint64_t executed() const { return executed_.value(); }
 
   /// Per-program contribution ledger (guarded by the site lock).
   [[nodiscard]] const AccountLedger& accounting() const { return ledger_; }
 
  private:
   void worker_loop();
+  /// Sim mode's cost hook: the virtual cost of the finished microthread
+  /// (cycles, charged cycles, site speed, memory stalls). Its deferred
+  /// results leave the site in one burst once that cost has elapsed.
+  Nanos complete_virtually(ExecContext& ctx, std::uint64_t cycles);
 
   Site& site_;
   std::vector<std::thread> workers_;
@@ -84,8 +79,19 @@ class ProcessingManager {
   bool stopping_ = false;
   std::atomic<int> running_{0};
   std::atomic<bool> frozen_{false};
-  Nanos last_sim_cost_ = 0;
   AccountLedger ledger_;
+
+  // Instruments, guarded by the site lock; read "proc.*" through
+  // Site::introspect().
+  metrics::Counter executed_;
+  metrics::Counter trapped_;
+  /// Microthread body runtime in wall nanos, in every mode.
+  metrics::Histogram runtime_ns_;
+  /// Wall nanos spent inside the VM dispatch loop for bytecode
+  /// microthreads: the interpreter-overhead component of runtime_ns_, so
+  /// bench/overhead_sequential can attribute MicroC-vs-native overhead to
+  /// the VM rather than SDVM machinery.
+  metrics::Histogram vm_dispatch_ns_;
 };
 
 }  // namespace sdvm

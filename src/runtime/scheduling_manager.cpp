@@ -7,13 +7,13 @@
 namespace sdvm {
 
 void SchedulingManager::register_metrics(metrics::MetricsRegistry& registry) {
-  registry.register_counter("sched.help_requests_sent", &help_requests_sent);
-  registry.register_counter("sched.help_frames_given", &help_frames_given);
+  registry.register_counter("sched.help_requests_sent", &help_requests_sent_);
+  registry.register_counter("sched.help_frames_given", &help_frames_given_);
   registry.register_counter("sched.help_frames_received",
-                            &help_frames_received);
-  registry.register_counter("sched.cant_help_received", &cant_help_received);
-  registry.register_counter("sched.frames_enqueued", &frames_enqueued);
-  registry.register_counter("sched.starvation_events", &starvation_events);
+                            &help_frames_received_);
+  registry.register_counter("sched.cant_help_received", &cant_help_received_);
+  registry.register_counter("sched.frames_enqueued", &frames_enqueued_);
+  registry.register_counter("sched.starvation_events", &starvation_events_);
   registry.register_gauge("sched.executable_depth", [this] {
     return static_cast<std::int64_t>(executable_.size());
   });
@@ -26,7 +26,7 @@ void SchedulingManager::on_executable(Microframe frame) {
   ProgramId pid = frame.program;
   MicrothreadId tid = frame.thread;
   FrameId id = frame.id;
-  ++frames_enqueued;
+  ++frames_enqueued_;
   executable_.push_back(std::move(frame));
 
   if (!code_pending_.insert(id.value).second) return;
@@ -169,14 +169,14 @@ void SchedulingManager::on_starving() {
   }
   auto target = site_.cluster().pick_help_target(help_excluded_);
   if (!target.has_value()) {
-    ++starvation_events;
+    ++starvation_events_;
     help_excluded_.clear();  // every peer said no; start over next round
     return;
   }
 
   last_help_request_ = now;
   help_in_flight_ = true;
-  ++help_requests_sent;
+  ++help_requests_sent_;
 
   // Piggyback our SiteInfo so the target learns about us ("A's id and
   // status information is then propagated ... by and by").
@@ -200,7 +200,7 @@ void SchedulingManager::on_starving() {
     }
     const SdMessage& reply = r.value();
     if (reply.type == MsgType::kHelpReplyNone) {
-      ++cant_help_received;
+      ++cant_help_received_;
       help_excluded_.push_back(target);
       schedule_retry();
       return;
@@ -219,7 +219,7 @@ void SchedulingManager::on_starving() {
       }
       auto frame = Microframe::deserialize(rd);
       if (!frame.is_ok()) return;
-      ++help_frames_received;
+      ++help_frames_received_;
       site_.memory().adopt_frame(std::move(frame).value());
     } catch (const DecodeError&) {
     }
@@ -258,7 +258,7 @@ void SchedulingManager::handle(const SdMessage& msg) {
       if (!frame.has_value()) {
         reply.type = MsgType::kHelpReplyNone;
       } else {
-        ++help_frames_given;
+        ++help_frames_given_;
         site_.trace(FrameEvent::kGivenAway, frame->id, frame->thread);
         reply.type = MsgType::kHelpReplyFrame;
         reply.program = frame->program;
@@ -288,7 +288,7 @@ void SchedulingManager::handle(const SdMessage& msg) {
         }
         auto frame = Microframe::deserialize(rd);
         if (frame.is_ok()) {
-          ++help_frames_received;
+          ++help_frames_received_;
           site_.memory().adopt_frame(std::move(frame).value());
         }
       } catch (const DecodeError&) {

@@ -59,16 +59,15 @@ class SchedulingManager {
   /// Registers this manager's instruments ("sched." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims: read these through Site::introspect() metrics
-  // ("sched.*") instead; kept as fields for one release.
-  metrics::Counter help_requests_sent;
-  metrics::Counter help_frames_given;
-  metrics::Counter help_frames_received;
-  metrics::Counter cant_help_received;
-  metrics::Counter frames_enqueued;     // entered the executable queue
-  metrics::Counter starvation_events;   // starving with no help target
-
  private:
+  // Instruments (read "sched.*" through Site::introspect()).
+  metrics::Counter help_requests_sent_;
+  metrics::Counter help_frames_given_;
+  metrics::Counter help_frames_received_;
+  metrics::Counter cant_help_received_;
+  metrics::Counter frames_enqueued_;     // entered the executable queue
+  metrics::Counter starvation_events_;   // starving with no help target
+
   void on_code_ready(FrameId id, Result<Executable> exec);
   void schedule_retry();
   /// Picks a frame to give away for a help request, or nullopt.

@@ -6,6 +6,12 @@ SecurityManager::SecurityManager(const SiteConfig& config)
     : enabled_(config.encrypt),
       master_(crypto::derive_master_key(config.cluster_password)) {}
 
+void SecurityManager::register_metrics(metrics::MetricsRegistry& registry) {
+  registry.register_counter("sec.sealed", &sealed_);
+  registry.register_counter("sec.opened", &opened_);
+  registry.register_counter("sec.rejected", &rejected_);
+}
+
 const crypto::ChaCha20::Key& SecurityManager::pair_key(SiteId a, SiteId b) {
   if (a > b) std::swap(a, b);
   std::uint64_t key = (std::uint64_t{a} << 32) | b;
@@ -25,7 +31,7 @@ std::vector<std::byte> SecurityManager::protect(const SdMessage& msg) {
   w.site(msg.src);
   w.site(msg.dst);
   if (enabled_) {
-    ++sealed_count;
+    ++sealed_;
     auto sealed =
         crypto::seal(pair_key(msg.src, msg.dst), ++nonce_seed_, body);
     w.raw(sealed.data(), sealed.size());
@@ -38,7 +44,7 @@ std::vector<std::byte> SecurityManager::protect(const SdMessage& msg) {
 Result<SdMessage> SecurityManager::unprotect(std::span<const std::byte> wire) {
   constexpr std::size_t kHeader = 1 + 1 + 4 + 4;
   if (wire.size() < kHeader) {
-    ++rejected_count;
+    ++rejected_;
     return Status::error(ErrorCode::kCorrupt, "wire frame too short");
   }
   ByteReader r(wire.subspan(0, kHeader));
@@ -47,7 +53,7 @@ Result<SdMessage> SecurityManager::unprotect(std::span<const std::byte> wire) {
   SiteId src = r.site();
   SiteId dst = r.site();
   if (version != kVersion) {
-    ++rejected_count;
+    ++rejected_;
     return Status::error(ErrorCode::kCorrupt, "unknown wire version");
   }
   auto body = wire.subspan(kHeader);
@@ -57,16 +63,16 @@ Result<SdMessage> SecurityManager::unprotect(std::span<const std::byte> wire) {
     // may enforce encryption; mixed clusters still must interoperate.
     auto opened = crypto::open(pair_key(src, dst), body);
     if (!opened.is_ok()) {
-      ++rejected_count;
+      ++rejected_;
       return opened.status();
     }
-    ++opened_count;
+    ++opened_;
     return SdMessage::deserialize_body(src, dst, opened.value());
   }
   if (enabled_) {
     // We require encryption; a plaintext message from outside is rejected
     // (self-protection).
-    ++rejected_count;
+    ++rejected_;
     return Status::error(ErrorCode::kCorrupt,
                          "plaintext message on an encrypted cluster");
   }

@@ -17,6 +17,7 @@
 #include "common/types.hpp"
 #include "crypto/cipher.hpp"
 #include "runtime/message.hpp"
+#include "runtime/metrics.hpp"
 
 namespace sdvm {
 
@@ -36,9 +37,8 @@ class SecurityManager {
   /// corruption".
   [[nodiscard]] Result<SdMessage> unprotect(std::span<const std::byte> wire);
 
-  std::uint64_t sealed_count = 0;
-  std::uint64_t opened_count = 0;
-  std::uint64_t rejected_count = 0;
+  /// Registers this manager's instruments ("sec." prefix).
+  void register_metrics(metrics::MetricsRegistry& registry);
 
  private:
   [[nodiscard]] const crypto::ChaCha20::Key& pair_key(SiteId a, SiteId b);
@@ -51,6 +51,11 @@ class SecurityManager {
   crypto::ChaCha20::Key master_;
   std::uint64_t nonce_seed_ = 0;
   std::unordered_map<std::uint64_t, crypto::ChaCha20::Key> pair_keys_;
+
+  // Instruments (read "sec.*" through Site::introspect()).
+  metrics::Counter sealed_;
+  metrics::Counter opened_;
+  metrics::Counter rejected_;
 };
 
 }  // namespace sdvm

@@ -18,6 +18,7 @@ Site::Site(SiteConfig config, Clock& clock, Driver& driver)
 
   // One instrument catalog per site: every manager contributes its
   // counters, gauges and histograms (identical names across all modes).
+  security_mgr_->register_metrics(metrics_);
   message_mgr_->register_metrics(metrics_);
   cluster_mgr_->register_metrics(metrics_);
   code_mgr_->register_metrics(metrics_);
@@ -148,7 +149,7 @@ Nanos Site::pump() {
     if (driver_.simulated()) {
       // One microthread at a time per site; virtual cost marks us busy.
       if (now >= sim_busy_until_ && !processing_mgr_->frozen()) {
-        Nanos cost = processing_mgr_->execute_one_sim();
+        Nanos cost = processing_mgr_->execute_once();
         if (cost >= 0) {
           sim_busy_until_ = now + cost;
           // Pump again the moment the virtual execution completes, so the

@@ -100,8 +100,7 @@ class Site {
   // --- introspection -----------------------------------------------------
   /// The unified status snapshot: identity + lifecycle + load + active
   /// programs + accounting ledger + every registered metric. Thread-safe
-  /// (takes the site lock). This is THE way to observe a site; the
-  /// per-manager counter fields remain as deprecated shims.
+  /// (takes the site lock). This is THE way to observe a site.
   [[nodiscard]] SiteStatus introspect();
 
   /// The per-site instrument catalog (managers register at construction).
@@ -152,8 +151,6 @@ class Site {
   }
 
  private:
-  friend class ProcessingManager;
-
   /// Arms the periodic maintenance tick (heartbeats, failure detection,
   /// gossip, checkpoints, starvation checks).
   void bootstrap_tick();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <set>
-#include <sstream>
 
 #include "runtime/site.hpp"
 
@@ -16,34 +15,8 @@ LoadStats SiteManager::collect_load() const {
   s.running = static_cast<std::uint32_t>(site_.processing().running());
   s.programs =
       static_cast<std::uint32_t>(site_.programs().active_programs().size());
-  s.executed_total = site_.processing().executed_total;
+  s.executed_total = site_.processing().executed();
   return s;
-}
-
-std::string SiteManager::status_string() const {
-  std::ostringstream os;
-  LoadStats load = collect_load();
-  os << "site " << site_.id() << " (" << site_.config().name << ", "
-     << site_.config().platform << ", speed " << site_.config().speed << ")\n"
-     << "  cluster: " << site_.cluster().cluster_size() << " live sites\n"
-     << "  scheduling: " << site_.scheduling().queued_total()
-     << " queued, help sent " << site_.scheduling().help_requests_sent
-     << ", given " << site_.scheduling().help_frames_given << ", received "
-     << site_.scheduling().help_frames_received << "\n"
-     << "  processing: " << load.running << " running, "
-     << site_.processing().executed_total << " executed, "
-     << site_.processing().trapped_total << " trapped\n"
-     << "  memory: " << site_.memory().frame_count() << " frames, "
-     << site_.memory().object_count() << " objects, migrations in/out "
-     << site_.memory().migrations_in << "/" << site_.memory().migrations_out
-     << "\n"
-     << "  code: compiles " << site_.code().compiles << ", binary fetches "
-     << site_.code().binary_fetches << ", source fetches "
-     << site_.code().source_fetches << "\n"
-     << "  programs: " << load.programs << " active\n"
-     << "  messages: sent " << site_.messages().sent_count << ", received "
-     << site_.messages().received_count << "\n";
-  return os.str();
 }
 
 void SiteManager::query_cluster_status(ClusterStatusCallback done,
@@ -114,19 +87,6 @@ void SiteManager::query_cluster_status(ClusterStatusCallback done,
 
 void SiteManager::handle(const SdMessage& msg) {
   switch (msg.type) {
-    case MsgType::kStatusQuery: {
-      // Deprecated wire shim: text + LoadStats, kept one release for old
-      // sdvm-top binaries. New tooling uses kMetricsQuery.
-      SdMessage reply;
-      reply.src_mgr = reply.dst_mgr = ManagerId::kSite;
-      reply.type = MsgType::kStatusReply;
-      ByteWriter w;
-      w.str(status_string());
-      collect_load().serialize(w);
-      reply.payload = w.take();
-      (void)site_.messages().respond(msg, std::move(reply));
-      break;
-    }
     case MsgType::kMetricsQuery: {
       SdMessage reply;
       reply.src_mgr = reply.dst_mgr = ManagerId::kSite;

@@ -23,11 +23,6 @@ class SiteManager {
   /// Snapshot of the local load for gossip piggybacking.
   [[nodiscard]] LoadStats collect_load() const;
 
-  /// DEPRECATED: use Site::introspect().to_text() / SiteStatus instead.
-  /// Human-readable status of every local manager, kept as a shim for one
-  /// release (sdvmd and older tooling still print it).
-  [[nodiscard]] std::string status_string() const;
-
   /// Cluster-wide introspection: fans a kMetricsQuery out to every live
   /// peer, collects SiteStatus replies, and fires `done` with the sorted
   /// aggregate — on the last reply or at `timeout` (whichever is first;

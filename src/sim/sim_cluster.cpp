@@ -250,12 +250,9 @@ void SimCluster::install_memory_oracle(Site& site) {
             return Status::error(ErrorCode::kNotFound, "no such object");
           }
         }
-        MemObject* obj = owner->memory().local_object(addr);
-        *out = *obj;
-        Nanos bytes = static_cast<Nanos>(obj->words.size() * 8 + 64) *
+        *out = owner->memory().give_away(addr);
+        Nanos bytes = static_cast<Nanos>(out->words.size() * 8 + 64) *
                       options_.link.per_byte;
-        owner->memory().evict_object(addr);
-        owner->memory().migrations_out++;
         if (holder != nullptr) {
           holder->memory().set_directory_owner(addr, requester->id());
         }

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "test_util.hpp"
+
 #include "chaos/harness.hpp"
 #include "chaos/schedule.hpp"
 #include "chaos/shrink.hpp"
@@ -194,8 +196,10 @@ TEST(ChaosHarnessTest, CustomInvariantFires) {
         std::uint64_t received = 0;
         for (std::size_t i = 0; i < ctx.cluster.size(); ++i) {
           if (!ctx.live(i)) continue;
-          given += ctx.cluster.site(i).scheduling().help_frames_given;
-          received += ctx.cluster.site(i).scheduling().help_frames_received;
+          given += testing_util::counter(ctx.cluster.site(i),
+                                         "sched.help_frames_given");
+          received += testing_util::counter(ctx.cluster.site(i),
+                                            "sched.help_frames_received");
         }
         if (given != received) {
           return "help frames given " + std::to_string(given) +

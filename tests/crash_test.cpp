@@ -39,7 +39,8 @@ TEST(CrashTest, CheckpointsCommitDuringRun) {
   ASSERT_TRUE(pid.is_ok());
   auto code = cluster.run_program(pid.value(), 3000 * kNanosPerSecond);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
-  EXPECT_GT(cluster.site(0).crash().checkpoints_committed, 0u);
+  EXPECT_GT(testing_util::counter(cluster.site(0),
+                                  "crash.checkpoints_committed"), 0u);
   testing_util::expect_primes_verdict(cluster.outputs(0, pid.value()), 60, 8);
 }
 
@@ -62,13 +63,14 @@ TEST(CrashTest, WorkerCrashRecoversFromCheckpoint) {
 
   // Run long enough for at least one checkpoint, then kill a worker.
   cluster.loop().run_for(2 * kNanosPerSecond);
-  ASSERT_GT(cluster.site(0).crash().checkpoints_committed, 0u)
+  ASSERT_GT(testing_util::counter(cluster.site(0),
+                                  "crash.checkpoints_committed"), 0u)
       << "no checkpoint before the crash — test setup too fast";
   cluster.kill(2);
 
   auto code = cluster.run_program(pid.value(), 3000 * kNanosPerSecond);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
-  EXPECT_GE(cluster.site(0).crash().recoveries, 1u);
+  EXPECT_GE(testing_util::counter(cluster.site(0), "crash.recoveries"), 1u);
   // The answer is still correct (outputs may contain duplicates from
   // re-executed rounds; the final line is the verdict).
   testing_util::expect_primes_verdict(cluster.outputs(0, pid.value()), 60, 8);
@@ -81,7 +83,8 @@ TEST(CrashTest, HomeSiteCrashBackupTakesOver) {
   ASSERT_TRUE(pid.is_ok());
 
   cluster.loop().run_for(2 * kNanosPerSecond);
-  ASSERT_GT(cluster.site(0).crash().checkpoints_committed, 0u);
+  ASSERT_GT(testing_util::counter(cluster.site(0),
+                                  "crash.checkpoints_committed"), 0u);
   // Kill the home/coordinator site itself.
   cluster.kill(0);
 
@@ -92,7 +95,8 @@ TEST(CrashTest, HomeSiteCrashBackupTakesOver) {
   // collected the final output.
   bool someone_recovered = false;
   for (std::size_t i = 1; i < cluster.size(); ++i) {
-    someone_recovered |= cluster.site(i).crash().recoveries > 0;
+    someone_recovered |=
+        testing_util::counter(cluster.site(i), "crash.recoveries") > 0;
   }
   EXPECT_TRUE(someone_recovered);
   bool verdict_seen = false;
@@ -117,12 +121,13 @@ TEST(CrashTest, CrashBeforeFirstCheckpointRestartsFromEpochZero) {
   ASSERT_TRUE(pid.is_ok());
 
   cluster.loop().run_for(kNanosPerSecond);
-  ASSERT_EQ(cluster.site(0).crash().checkpoints_committed, 0u);
+  ASSERT_EQ(testing_util::counter(cluster.site(0),
+                                  "crash.checkpoints_committed"), 0u);
   cluster.kill(2);
 
   auto code = cluster.run_program(pid.value(), 3000 * kNanosPerSecond);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
-  EXPECT_GE(cluster.site(0).crash().recoveries, 1u);
+  EXPECT_GE(testing_util::counter(cluster.site(0), "crash.recoveries"), 1u);
   testing_util::expect_primes_verdict(cluster.outputs(0, pid.value()), 40, 8);
 }
 
@@ -137,7 +142,7 @@ TEST(CrashTest, CrashWithoutCheckpointsNoRecovery) {
   cluster.loop().run_for(kNanosPerSecond);
   cluster.kill(2);
   cluster.loop().run_for(3 * kNanosPerSecond);
-  EXPECT_EQ(cluster.site(0).crash().recoveries, 0u);
+  EXPECT_EQ(testing_util::counter(cluster.site(0), "crash.recoveries"), 0u);
 }
 
 TEST(CrashTest, RepeatedCrashesStillFinish) {
@@ -149,7 +154,8 @@ TEST(CrashTest, RepeatedCrashesStillFinish) {
   ASSERT_TRUE(pid.is_ok());
 
   cluster.loop().run_for(2 * kNanosPerSecond);
-  ASSERT_GT(cluster.site(0).crash().checkpoints_committed, 0u);
+  ASSERT_GT(testing_util::counter(cluster.site(0),
+                                  "crash.checkpoints_committed"), 0u);
   cluster.kill(4);
   cluster.loop().run_for(2 * kNanosPerSecond);
   cluster.kill(3);
@@ -157,7 +163,7 @@ TEST(CrashTest, RepeatedCrashesStillFinish) {
   auto code = cluster.run_program(pid.value(), 9000 * kNanosPerSecond);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
   testing_util::expect_primes_verdict(cluster.outputs(0, pid.value()), 150, 8);
-  EXPECT_GE(cluster.site(0).crash().recoveries, 2u);
+  EXPECT_GE(testing_util::counter(cluster.site(0), "crash.recoveries"), 2u);
 }
 
 }  // namespace

@@ -252,12 +252,15 @@ TEST(ColdRestartTest, QuorumCommitPersistsReplicas) {
   ASSERT_TRUE(pid.is_ok());
   auto code = cluster.run_program(pid.value(), 3000 * kNanosPerSecond);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
-  EXPECT_GT(cluster.site(0).crash().checkpoints_committed, 0u);
+  EXPECT_GT(testing_util::counter(cluster.site(0),
+                                  "crash.checkpoints_committed"), 0u);
   // Home + one holder (replication_factor 2) each persisted every epoch.
-  EXPECT_GT(cluster.site(0).crash().replicas_persisted, 0u);
+  EXPECT_GT(testing_util::counter(cluster.site(0),
+                                  "crash.replicas_persisted"), 0u);
   std::uint64_t holder_persists = 0;
   for (std::size_t i = 1; i < cluster.size(); ++i) {
-    holder_persists += cluster.site(i).crash().replicas_persisted;
+    holder_persists +=
+        testing_util::counter(cluster.site(i), "crash.replicas_persisted");
   }
   EXPECT_GT(holder_persists, 0u) << "no replica holder ever persisted";
 }
@@ -274,7 +277,8 @@ TEST(ColdRestartTest, HomeAndHolderDoubleKillRecoversFromDisk) {
   ASSERT_TRUE(pid.is_ok());
 
   cluster.loop().run_for(2 * kNanosPerSecond);
-  ASSERT_GT(cluster.site(0).crash().checkpoints_committed, 0u);
+  ASSERT_GT(testing_util::counter(cluster.site(0),
+                                  "crash.checkpoints_committed"), 0u);
   std::vector<SiteId> holders =
       cluster.site(0).crash().replica_holders(pid.value());
   ASSERT_FALSE(holders.empty());
@@ -335,10 +339,10 @@ TEST(ColdRestartTest, FullClusterKillAndRestartResumes) {
     if (!out.empty() && std::stoll(out.back()) >= 60) verdict_seen = true;
   }
   EXPECT_TRUE(verdict_seen) << "no site collected the final verdict";
-  EXPECT_GE(cluster.site(0).crash().recoveries +
-                cluster.site(1).crash().recoveries +
-                cluster.site(2).crash().recoveries +
-                cluster.site(3).crash().recoveries,
+  EXPECT_GE(testing_util::counter(cluster.site(0), "crash.recoveries") +
+                testing_util::counter(cluster.site(1), "crash.recoveries") +
+                testing_util::counter(cluster.site(2), "crash.recoveries") +
+                testing_util::counter(cluster.site(3), "crash.recoveries"),
             1u);
 }
 
@@ -408,14 +412,15 @@ TEST(ColdRestartTest, OutputIsDeliveredExactlyOnce) {
   ASSERT_TRUE(pid.is_ok());
 
   cluster.loop().run_for(2 * kNanosPerSecond);
-  ASSERT_GT(cluster.site(0).crash().checkpoints_committed, 0u);
+  ASSERT_GT(testing_util::counter(cluster.site(0),
+                                  "crash.checkpoints_committed"), 0u);
   cluster.kill(2);
   cluster.loop().run_for(2 * kNanosPerSecond);
   cluster.kill(3);
 
   auto code = cluster.run_program(pid.value(), 9000 * kNanosPerSecond);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
-  ASSERT_GT(cluster.site(0).crash().recoveries, 0u)
+  ASSERT_GT(testing_util::counter(cluster.site(0), "crash.recoveries"), 0u)
       << "no rollback happened — the test exercised nothing";
 
   auto out = cluster.outputs(0, pid.value());

@@ -69,7 +69,7 @@ TEST(AccountingTest, EntriesSumAcrossSites) {
     if (auto it = ledger.find(pid.value()); it != ledger.end()) {
       billed += it->second.microthreads;
     }
-    executed += cluster.site(i).processing().executed_total;
+    executed += testing_util::counter(cluster.site(i), "proc.executed");
   }
   EXPECT_EQ(billed, executed) << "every executed microthread must be billed";
 }
@@ -101,8 +101,8 @@ TEST(CodeDistributionTest, DedicatedCodeSiteServesBinaries) {
   // binary was uploaded to it (besides home).
   EXPECT_TRUE(cluster.site(0).cluster().find(2) != nullptr &&
               cluster.site(0).cluster().find(2)->code_site);
-  EXPECT_GT(cluster.site(1).code().uploads_received +
-                cluster.site(1).code().compiles,
+  EXPECT_GT(testing_util::counter(cluster.site(1), "code.uploads_received") +
+                testing_util::counter(cluster.site(1), "code.compiles"),
             0u)
       << "code distribution site never stocked the binary";
 }

@@ -6,6 +6,7 @@
 // counters from at least five distinct managers in both text and JSON.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 
 #include "test_util.hpp"
@@ -136,6 +137,36 @@ TEST(IntrospectionTest, SimModeSameApiAndMetricCatalog) {
   threads.add_sites(1);
   EXPECT_EQ(sim.site(0).metrics_registry().names(),
             threads.site(0).metrics_registry().names());
+}
+
+TEST(IntrospectionTest, SimRuntimeIsWallTime) {
+  // proc.runtime_ns means wall nanos in every mode. A heavy work_mult
+  // makes the virtual cost seconds while the simulated run itself takes
+  // milliseconds, so the histogram must sum to at most the wall time.
+  const auto started = std::chrono::steady_clock::now();
+  sim::SimCluster sim;
+  sim.add_sites(2);
+  apps::PrimesParams params = small_primes();
+  params.work_mult = 500'000'000;
+  auto pid = sim.start_program(apps::make_primes_program(params));
+  ASSERT_TRUE(pid.is_ok());
+  auto code = sim.run_program(pid.value(), 100'000 * kNanosPerSecond);
+  ASSERT_TRUE(code.is_ok()) << code.status().to_string();
+  std::uint64_t runtime_sum = 0;
+  std::uint64_t executed = 0;
+  for (std::size_t i = 0; i < sim.size(); ++i) {
+    auto st = sim.status(i);
+    ASSERT_TRUE(st.is_ok());
+    const metrics::MetricValue* h = st.value().metrics.find("proc.runtime_ns");
+    ASSERT_NE(h, nullptr);
+    runtime_sum += h->sum;
+    executed += st.value().metrics.counter("proc.executed");
+  }
+  const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - started)
+                        .count();
+  EXPECT_GT(executed, 0u);
+  EXPECT_LE(runtime_sum, static_cast<std::uint64_t>(wall));
 }
 
 TEST(IntrospectionTest, UnreachableSiteLandsInPartialResult) {

@@ -1,4 +1,4 @@
-// Manager-level behaviour tests on small live clusters: status queries,
+// Manager-level behaviour tests on small live clusters: status text,
 // gossip propagation, help-target selection, io path parsing, program
 // manager lifecycle, sign-off successor routing.
 #include <gtest/gtest.h>
@@ -13,34 +13,14 @@ namespace {
 
 using sim::SimCluster;
 
-TEST(StatusQueryTest, RemoteStatusReplyArrives) {
-  SimCluster cluster;
-  cluster.add_sites(2);
-
-  // Site 1 asks site 2 for its status via the site manager protocol.
-  std::string got;
-  SdMessage q;
-  q.dst = 2;
-  q.src_mgr = q.dst_mgr = ManagerId::kSite;
-  q.type = MsgType::kStatusQuery;
-  (void)cluster.site(0).messages().request(q, [&](Result<SdMessage> r) {
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    ByteReader rd(r.value().payload);
-    got = rd.str();
-  });
-  cluster.loop().run_for(kNanosPerSecond / 100);
-  EXPECT_NE(got.find("site 2"), std::string::npos) << got;
-  EXPECT_NE(got.find("scheduling:"), std::string::npos);
-  EXPECT_NE(got.find("memory:"), std::string::npos);
-}
-
 TEST(StatusQueryTest, LocalStatusMentionsAllManagers) {
   SimCluster cluster;
   cluster.add_sites(1);
-  std::string s = cluster.site(0).site_manager().status_string();
-  for (const char* section : {"cluster:", "scheduling:", "processing:",
-                              "memory:", "code:", "programs:", "messages:"}) {
-    EXPECT_NE(s.find(section), std::string::npos) << "missing " << section;
+  std::string s = cluster.site(0).introspect().to_text();
+  for (const char* metric :
+       {"cluster.", "sched.", "proc.", "mem.", "dir.", "code.", "msg.", "io.",
+        "sec.", "crash."}) {
+    EXPECT_NE(s.find(metric), std::string::npos) << "missing " << metric;
   }
 }
 

@@ -3,6 +3,8 @@
 // round-trips and the text/JSON exports.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "runtime/metrics.hpp"
 #include "runtime/site_status.hpp"
 
@@ -16,8 +18,8 @@ TEST(CounterTest, ActsLikeAnInteger) {
   c++;
   c += 5;
   EXPECT_EQ(c.value(), 7u);
-  std::uint64_t as_int = c;  // implicit read (legacy call sites)
-  EXPECT_EQ(as_int, 7u);
+  // Reads go through value(); there is no implicit integer conversion.
+  static_assert(!std::is_convertible_v<Counter, std::uint64_t>);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
 }

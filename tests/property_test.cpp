@@ -58,8 +58,9 @@ TEST_P(DataflowConservationTest, FibExactUnderAnyTopology) {
   // Conservation: every help frame given was received, none invented.
   std::uint64_t given = 0, received = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    given += cluster.site(i).scheduling().help_frames_given;
-    received += cluster.site(i).scheduling().help_frames_received;
+    given += testing_util::counter(cluster.site(i), "sched.help_frames_given");
+    received +=
+        testing_util::counter(cluster.site(i), "sched.help_frames_received");
   }
   EXPECT_EQ(given, received);
 }
@@ -101,7 +102,7 @@ TEST_P(PrimesConservationTest, VerdictExactUnderRandomStealing) {
   // rounds * width; verdict >= 30 pins rounds exactly.
   std::uint64_t executed = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    executed += cluster.site(i).processing().executed_total;
+    executed += testing_util::counter(cluster.site(i), "proc.executed");
   }
   std::int64_t verdict = std::stoll(cluster.outputs(0, pid.value()).back());
   (void)verdict;
@@ -134,7 +135,7 @@ TEST_P(DeterminismTest, IdenticalConfigIdenticalRun) {
     EXPECT_TRUE(code.is_ok());
     std::uint64_t executed = 0;
     for (std::size_t i = 0; i < cluster.size(); ++i) {
-      executed += cluster.site(i).processing().executed_total;
+      executed += testing_util::counter(cluster.site(i), "proc.executed");
     }
     return std::pair<Nanos, std::uint64_t>{cluster.now(), executed};
   };

@@ -161,7 +161,8 @@ TEST(ShardSimTest, JoinRemigratesShardsToNewTarget) {
 
   std::uint64_t handoffs_before = 0;
   for (std::size_t i = 0; i < 3; ++i) {
-    handoffs_before += cluster.site(i).memory().shard_handoffs;
+    handoffs_before +=
+        testing_util::counter(cluster.site(i), "dir.shard_handoffs");
   }
 
   cluster.add_site(SiteConfig{});
@@ -172,7 +173,8 @@ TEST(ShardSimTest, JoinRemigratesShardsToNewTarget) {
       << "rendezvous gave the joiner nothing — remigration untested";
   std::uint64_t handoffs_after = 0;
   for (std::size_t i = 0; i < 3; ++i) {
-    handoffs_after += cluster.site(i).memory().shard_handoffs;
+    handoffs_after +=
+        testing_util::counter(cluster.site(i), "dir.shard_handoffs");
   }
   EXPECT_GT(handoffs_after, handoffs_before)
       << "no graceful kShardHandoff carried the remigration";
@@ -187,7 +189,8 @@ TEST(ShardSimTest, KillLeaseHolderMidProgramRecovers) {
   ASSERT_TRUE(pid.is_ok());
 
   cluster.loop().run_for(2 * kNanosPerSecond);
-  ASSERT_GT(cluster.site(0).crash().checkpoints_committed, 0u)
+  ASSERT_GT(testing_util::counter(cluster.site(0),
+                                  "crash.checkpoints_committed"), 0u)
       << "no checkpoint before the crash — test setup too fast";
 
   const std::size_t victim = lease_richest_slot(cluster);
@@ -204,7 +207,7 @@ TEST(ShardSimTest, KillLeaseHolderMidProgramRecovers) {
   std::uint64_t recoveries = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     if (i == victim) continue;
-    recoveries += cluster.site(i).crash().recoveries;
+    recoveries += testing_util::counter(cluster.site(i), "crash.recoveries");
   }
   EXPECT_GE(recoveries, 1u) << "no checkpoint recovery ran";
 
@@ -300,9 +303,10 @@ TEST(ShardSimTest, MisroutedRegisterRejectedAndForwarded) {
   msg.type = MsgType::kShardRegister;
   msg.payload = w.take();
 
-  const std::uint64_t before = probe.memory().stale_epoch_rejects;
+  const std::uint64_t before =
+      testing_util::counter(probe, "dir.stale_epoch_rejects");
   probe.memory().handle(msg);
-  EXPECT_EQ(probe.memory().stale_epoch_rejects, before + 1)
+  EXPECT_EQ(testing_util::counter(probe, "dir.stale_epoch_rejects"), before + 1)
       << "mis-routed register not counted as a stale reject";
 
   // ... and re-routed: after the forward settles, the entry lives at the
@@ -339,9 +343,10 @@ TEST(ShardSimTest, StaleEpochObjectRequestBouncedNotServed) {
   msg.seq = 4242;
   msg.payload = w.take();
 
-  const std::uint64_t before = probe.memory().stale_epoch_rejects;
+  const std::uint64_t before =
+      testing_util::counter(probe, "dir.stale_epoch_rejects");
   probe.memory().handle(msg);
-  EXPECT_EQ(probe.memory().stale_epoch_rejects, before + 1)
+  EXPECT_EQ(testing_util::counter(probe, "dir.stale_epoch_rejects"), before + 1)
       << "stale-epoch request neither rejected nor counted";
   // Never silently served: the non-authoritative site must not have grown
   // a directory entry for the address.
@@ -457,7 +462,8 @@ TEST(ShardTcpTest, KillLeaseHolderDaemonMidProgram) {
   ASSERT_TRUE(wait_until(
       [&] {
         std::lock_guard lk(home.value()->site().lock());
-        return home.value()->site().crash().checkpoints_committed >= 1;
+        return testing_util::counter(home.value()->site(),
+                                     "crash.checkpoints_committed") >= 1;
       },
       60'000))
       << "no checkpoint committed before the kill";
@@ -487,13 +493,17 @@ TEST(ShardTcpTest, KillLeaseHolderDaemonMidProgram) {
     std::lock_guard lk(home.value()->site().lock());
     testing_util::expect_primes_verdict(
         home.value()->site().io().outputs(pid.value()), 60, 6);
-    deaths += home.value()->site().cluster().deaths_detected;
-    recoveries += home.value()->site().crash().recoveries;
+    deaths +=
+        testing_util::counter(home.value()->site(), "cluster.deaths_detected");
+    recoveries +=
+        testing_util::counter(home.value()->site(), "crash.recoveries");
   }
   {
     std::lock_guard lk(peer.value()->site().lock());
-    deaths += peer.value()->site().cluster().deaths_detected;
-    recoveries += peer.value()->site().crash().recoveries;
+    deaths +=
+        testing_util::counter(peer.value()->site(), "cluster.deaths_detected");
+    recoveries +=
+        testing_util::counter(peer.value()->site(), "crash.recoveries");
   }
   EXPECT_GE(deaths, 1u) << "nobody noticed the SIGKILL";
   EXPECT_GE(recoveries, 1u) << "no checkpoint recovery ran";
@@ -524,8 +534,10 @@ TEST(ShardTcpTest, KillLeaseHolderDaemonMidProgram) {
     }
     // The child only got its leases through graceful kShardHandoff from
     // the survivors when it joined.
-    EXPECT_GE(home.value()->site().memory().shard_handoffs +
-                  peer.value()->site().memory().shard_handoffs,
+    EXPECT_GE(testing_util::counter(home.value()->site(),
+                                    "dir.shard_handoffs") +
+                  testing_util::counter(peer.value()->site(),
+                                        "dir.shard_handoffs"),
               1u);
   }
 }

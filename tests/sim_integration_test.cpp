@@ -116,7 +116,7 @@ TEST(SimDistributionTest, WorkSpreadsAcrossSites) {
   std::uint64_t total = 0;
   int active_sites = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    std::uint64_t n = cluster.site(i).processing().executed_total;
+    std::uint64_t n = testing_util::counter(cluster.site(i), "proc.executed");
     total += n;
     if (n > 0) ++active_sites;
   }
@@ -143,8 +143,8 @@ TEST(SimDistributionTest, FasterSitesDoMoreWork) {
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
   // The 4x site should execute clearly more microthreads (load balancing
   // via demand-driven help requests).
-  EXPECT_GT(cluster.site(0).processing().executed_total,
-            cluster.site(1).processing().executed_total);
+  EXPECT_GT(testing_util::counter(cluster.site(0), "proc.executed"),
+            testing_util::counter(cluster.site(1), "proc.executed"));
 }
 
 TEST(SimMemoryTest, MatmulOverAttractionMemory) {
@@ -184,7 +184,7 @@ TEST(SimMemoryTest, ObjectsMigrateBetweenSites) {
   ASSERT_TRUE(cluster.run_program(pid.value(), 600 * kNanosPerSecond).is_ok());
   std::uint64_t migrations = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    migrations += cluster.site(i).memory().migrations_in;
+    migrations += testing_util::counter(cluster.site(i), "mem.migrations_in");
   }
   EXPECT_GT(migrations, 0u) << "COMA migration never happened";
 }
@@ -225,14 +225,19 @@ TEST(SimHeterogeneousTest, ForeignPlatformCompilesOnTheFly) {
 
   // The first hpux site got source and compiled; its upload should let
   // the second hpux site fetch a binary (or at worst compile too).
-  std::uint64_t hpux_compiles = cluster.site(1).code().compiles +
-                                cluster.site(2).code().compiles;
-  std::uint64_t hpux_sources = cluster.site(1).code().source_fetches +
-                               cluster.site(2).code().source_fetches;
+  std::uint64_t hpux_compiles =
+      testing_util::counter(cluster.site(1), "code.compiles") +
+                                testing_util::counter(cluster.site(2),
+                                                      "code.compiles");
+  std::uint64_t hpux_sources =
+      testing_util::counter(cluster.site(1), "code.source_fetches") +
+                               testing_util::counter(cluster.site(2),
+                                                     "code.source_fetches");
   EXPECT_GT(hpux_sources, 0u) << "source fallback never exercised";
   EXPECT_GT(hpux_compiles, 0u);
   // Uploads must have reached the home (code distribution) site.
-  EXPECT_GT(cluster.site(0).code().uploads_received, 0u);
+  EXPECT_GT(testing_util::counter(cluster.site(0),
+                                  "code.uploads_received"), 0u);
 }
 
 TEST(SimHeterogeneousTest, BinaryReusedAfterUpload) {
@@ -254,7 +259,8 @@ TEST(SimHeterogeneousTest, BinaryReusedAfterUpload) {
   ASSERT_TRUE(pid.is_ok());
   ASSERT_TRUE(cluster.run_program(pid.value(), 600 * kNanosPerSecond).is_ok());
 
-  std::uint64_t first_compiles = cluster.site(1).code().compiles;
+  std::uint64_t first_compiles =
+      testing_util::counter(cluster.site(1), "code.compiles");
   EXPECT_GT(first_compiles, 0u);
 
   // New same-platform site joins and runs another program instance.
@@ -262,8 +268,8 @@ TEST(SimHeterogeneousTest, BinaryReusedAfterUpload) {
   auto pid2 = cluster.start_program(apps::make_primes_program(params));
   ASSERT_TRUE(pid2.is_ok());
   ASSERT_TRUE(cluster.run_program(pid2.value(), 600 * kNanosPerSecond).is_ok());
-  EXPECT_GT(cluster.site(2).code().binary_fetches +
-                cluster.site(2).code().compiles,
+  EXPECT_GT(testing_util::counter(cluster.site(2), "code.binary_fetches") +
+                testing_util::counter(cluster.site(2), "code.compiles"),
             0u);
 }
 
@@ -305,8 +311,8 @@ TEST(SimDynamicTest, SiteJoinsMidRun) {
   cluster.add_sites(2);
   auto code = cluster.run_program(pid.value(), 3000 * kNanosPerSecond);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
-  EXPECT_GT(cluster.site(2).processing().executed_total +
-                cluster.site(3).processing().executed_total,
+  EXPECT_GT(testing_util::counter(cluster.site(2), "proc.executed") +
+                testing_util::counter(cluster.site(3), "proc.executed"),
             0u)
       << "late joiners never got work";
   testing_util::expect_primes_verdict(cluster.outputs(0, pid.value()), 60, 10);
@@ -375,7 +381,7 @@ TEST(SimDynamicTest, KillThenRejoinUnderPartition) {
   testing_util::expect_primes_verdict(cluster.outputs(0, pid.value()), 60, 8);
   // The crash (and the unreachable far side) must have triggered at least
   // one checkpoint recovery at the coordinator.
-  EXPECT_GE(cluster.site(0).crash().recoveries, 1u);
+  EXPECT_GE(testing_util::counter(cluster.site(0), "crash.recoveries"), 1u);
 }
 
 TEST(SimIoTest, OutputRoutedToFrontend) {
@@ -452,8 +458,8 @@ TEST(SimSecurityTest, EncryptedClusterRuns) {
   auto code = cluster.run_program(pid.value(), 600 * kNanosPerSecond);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
   testing_util::expect_primes_verdict(cluster.outputs(0, pid.value()), 15, 5);
-  EXPECT_GT(cluster.site(0).security().sealed_count, 0u);
-  EXPECT_GT(cluster.site(1).security().opened_count, 0u);
+  EXPECT_GT(testing_util::counter(cluster.site(0), "sec.sealed"), 0u);
+  EXPECT_GT(testing_util::counter(cluster.site(1), "sec.opened"), 0u);
 }
 
 TEST(SimSchedulingTest, HelpRequestCountersMove) {
@@ -469,9 +475,11 @@ TEST(SimSchedulingTest, HelpRequestCountersMove) {
 
   std::uint64_t requests = 0, given = 0, received = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    requests += cluster.site(i).scheduling().help_requests_sent;
-    given += cluster.site(i).scheduling().help_frames_given;
-    received += cluster.site(i).scheduling().help_frames_received;
+    requests +=
+        testing_util::counter(cluster.site(i), "sched.help_requests_sent");
+    given += testing_util::counter(cluster.site(i), "sched.help_frames_given");
+    received +=
+        testing_util::counter(cluster.site(i), "sched.help_frames_received");
   }
   EXPECT_GT(requests, 0u);
   EXPECT_GT(given, 0u);

@@ -534,7 +534,8 @@ TEST(TcpKillTest, KillDaemonMidProgramSurvivorsRecover) {
   ASSERT_TRUE(wait_until(
       [&] {
         std::lock_guard lk(home.value()->site().lock());
-        return home.value()->site().crash().checkpoints_committed >= 1;
+        return testing_util::counter(home.value()->site(),
+                                     "crash.checkpoints_committed") >= 1;
       },
       60'000))
       << "no checkpoint committed before the kill";
@@ -564,13 +565,17 @@ TEST(TcpKillTest, KillDaemonMidProgramSurvivorsRecover) {
     std::lock_guard lk(home.value()->site().lock());
     testing_util::expect_primes_verdict(
         home.value()->site().io().outputs(pid.value()), 60, 6);
-    deaths += home.value()->site().cluster().deaths_detected;
-    recoveries += home.value()->site().crash().recoveries;
+    deaths +=
+        testing_util::counter(home.value()->site(), "cluster.deaths_detected");
+    recoveries +=
+        testing_util::counter(home.value()->site(), "crash.recoveries");
   }
   {
     std::lock_guard lk(peer.value()->site().lock());
-    deaths += peer.value()->site().cluster().deaths_detected;
-    recoveries += peer.value()->site().crash().recoveries;
+    deaths +=
+        testing_util::counter(peer.value()->site(), "cluster.deaths_detected");
+    recoveries +=
+        testing_util::counter(peer.value()->site(), "crash.recoveries");
   }
   EXPECT_GE(deaths, 1u) << "nobody noticed the SIGKILL";
   EXPECT_GE(recoveries, 1u) << "no checkpoint recovery ran";

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <thread>
 
+#include "test_util.hpp"
+
 #include "api/program_builder.hpp"
 #include "api/tcp_node.hpp"
 #include "apps/primes.hpp"
@@ -169,7 +171,7 @@ TEST(TcpNodeTest, TwoDaemonClusterRunsProgram) {
     EXPECT_GE(std::stoll(out.back()), 20);
   }
   // The second daemon really participated over TCP.
-  EXPECT_GT(n1.value()->site().messages().sent_count, 0u);
+  EXPECT_GT(testing_util::counter(n1.value()->site(), "msg.sent"), 0u);
 }
 
 TEST(TcpNodeTest, EncryptedTcpCluster) {

@@ -7,7 +7,15 @@
 #include <string>
 #include <vector>
 
+#include "runtime/site.hpp"
+
 namespace sdvm::testing_util {
+
+/// A counter from the site's metrics registry, read through
+/// Site::introspect() (takes the site lock).
+inline std::uint64_t counter(Site& site, const std::string& name) {
+  return site.introspect().metrics.counter(name);
+}
 
 /// The primes app reports the count found when a round pushes it to >= p;
 /// the final round may overshoot by up to width-1 (the paper's app has the

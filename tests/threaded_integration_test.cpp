@@ -136,7 +136,7 @@ TEST(ThreadedTest, EncryptedClusterWithLatency) {
   auto code = cluster.wait_program(pid.value(), kWaitLimit);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();
   testing_util::expect_primes_verdict(cluster.outputs(0, pid.value()), 20, 8);
-  EXPECT_GT(cluster.site(0).security().sealed_count, 0u);
+  EXPECT_GT(testing_util::counter(cluster.site(0), "sec.sealed"), 0u);
 }
 
 TEST(ThreadedTest, SignOffMidRunRelocates) {

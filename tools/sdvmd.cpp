@@ -127,9 +127,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     if (status_every > 0 && ++ticks >= status_every * 5) {
       ticks = 0;
-      std::lock_guard lk(node.value()->site().lock());
-      std::fputs(node.value()->site().site_manager().status_string().c_str(),
-                 stdout);
+      std::fputs(node.value()->site().introspect().to_text().c_str(), stdout);
       std::fflush(stdout);
     }
   }
