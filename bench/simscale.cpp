@@ -1,6 +1,6 @@
 // simscale — raw discrete-event throughput of the simulator at large
 // memberships: how many simulated events per wall-clock second the
-// calendar-queue core sustains while a cluster of n sites idles
+// event core sustains while a cluster of n sites idles
 // (heartbeats, gossip, failure detection — the permanent background of
 // every chaos and scale run).
 //

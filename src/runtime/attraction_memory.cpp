@@ -955,18 +955,16 @@ bool AttractionMemory::shard_authoritative(std::uint32_t shard) const {
 }
 
 void AttractionMemory::reconcile_targets() {
-  if (!shard_view_dirty_) return;
-  const std::vector<SiteId> live = site_.cluster().known_sites(true);
-  shard_view_has_self_ =
-      std::find(live.begin(), live.end(), site_.id()) != live.end();
-  shard_view_lowest_ =
-      live.empty() ? site_.id() : *std::min_element(live.begin(), live.end());
-  // A view missing our own entry is a joiner's partial snapshot. Keep the
-  // view dirty so every settle re-reads membership until we appear in it.
-  shard_view_dirty_ = !shard_view_has_self_;
-  for (std::uint32_t s = 0; s < kNumShards; ++s) {
-    targets_[s] = shard_target(s, live);
+  // Our own entry enters the live view unannounced (the sign-on reply
+  // inserts it), so a view still missing it re-reads membership once the
+  // entry is there. Until then the view is a joiner's partial snapshot.
+  if (!shard_view_dirty_ && !shard_targets_.contains(site_.id())) {
+    const SiteInfo* self = site_.cluster().find(site_.id());
+    shard_view_dirty_ = self != nullptr && self->alive;
   }
+  if (!shard_view_dirty_) return;
+  shard_targets_.reset(site_.cluster().known_sites(true));
+  shard_view_dirty_ = false;
 }
 
 SiteId AttractionMemory::route_of(std::uint32_t shard) {
@@ -976,7 +974,7 @@ SiteId AttractionMemory::route_of(std::uint32_t shard) {
     return l.holder;
   }
   reconcile_targets();
-  return targets_[shard];
+  return shard_targets_.target(shard);
 }
 
 SiteId AttractionMemory::shard_route(GlobalAddress addr) {
@@ -1216,27 +1214,20 @@ void AttractionMemory::complete_rebuild(std::uint32_t s) {
 }
 
 void AttractionMemory::settle_leases(bool announce_held) {
-  // An orphaned lease (holder no longer alive) must be settled against a
-  // current membership view: the cached targets may predate the death that
-  // orphaned it, and electing against a stale view can wedge the shard
-  // (computed successor = the dead site itself).
-  for (const ShardLease& l : leases_) {
-    if (l.holder != kInvalidSite && !site_alive(l.holder)) {
-      shard_view_dirty_ = true;
-      break;
-    }
-  }
+  // An orphaned lease (holder no longer alive) is settled against the
+  // current membership: every death updates the targets before it settles,
+  // so the computed successor is never the dead site itself.
   reconcile_targets();
   // A joiner whose live view does not yet include itself would compute
   // rendezvous targets over an incomplete membership and bounce freshly
   // received shards straight back (epoch ping-pong). Hold all lease moves
   // until the view contains us.
-  if (!shard_view_has_self_) return;
   const SiteId self = site_.id();
+  if (!shard_targets_.contains(self)) return;
   std::vector<ShardLeaseAnnounce::Entry> announce;
   for (std::uint32_t s = 0; s < kNumShards; ++s) {
     const ShardLease l = leases_[s];
-    const SiteId tgt = targets_[s];
+    const SiteId tgt = shard_targets_.target(s);
     if (l.holder == self) {
       // Consistent hashing remigration: hand the shard over iff the
       // rendezvous target moved away from us.
@@ -1277,18 +1268,30 @@ void AttractionMemory::settle_leases(bool announce_held) {
       // a joiner's empty lease table looks identical to a fresh cluster,
       // and letting it claim epoch 1 while the real holder's announce is
       // still in flight creates a spurious competing authority.
-      if (fresh && self != shard_view_lowest_) continue;
+      if (fresh && self != shard_targets_.live().front()) continue;
       take_over_shard(s, /*rebuild=*/!fresh);
     }
   }
   if (!announce.empty()) announce_leases(announce);
 }
 
-void AttractionMemory::on_membership_change() {
-  shard_view_dirty_ = true;
+void AttractionMemory::on_membership_change(SiteId id, bool alive) {
+  // A dirty view is recomputed whole on its next read anyway.
+  if (!shard_view_dirty_) {
+    if (alive) {
+      shard_targets_.add(id);
+    } else {
+      shard_targets_.remove(id);
+    }
+  }
   if (!site_.cluster().joined()) return;
   if (last_shard_tick_ == 0) last_shard_tick_ = site_.clock().now();
   settle_leases(/*announce_held=*/true);
+}
+
+void AttractionMemory::on_membership_change() {
+  shard_view_dirty_ = true;
+  on_membership_change(kInvalidSite, /*alive=*/false);  // settles only
 }
 
 void AttractionMemory::shard_tick() {
@@ -1361,7 +1364,7 @@ void AttractionMemory::reject_stale(const SdMessage& msg, std::uint32_t s) {
   } else {
     // Best-effort hint only (epoch 0 so it never pollutes lease tables).
     reconcile_targets();
-    st.holder = targets_[s];
+    st.holder = shard_targets_.target(s);
   }
   ByteWriter w;
   st.serialize(w);

@@ -71,9 +71,7 @@ struct MemObject {
 
 class AttractionMemory {
  public:
-  explicit AttractionMemory(Site& site) : site_(site) {
-    targets_.fill(kInvalidSite);
-  }
+  explicit AttractionMemory(Site& site) : site_(site) {}
 
   // --- microframes ---------------------------------------------------------
   /// Allocates a frame homed at the local site. If nparams == 0 the frame
@@ -168,9 +166,12 @@ class AttractionMemory {
   void shard_tick();
 
   /// The live-membership view changed (join, death, sign-off). Marks the
-  /// cached rendezvous targets dirty and settles leases immediately so
-  /// authority gaps close without waiting for the next tick.
+  /// cached rendezvous targets for a full recompute and settles leases
+  /// immediately so authority gaps close without waiting for the next tick.
   void on_membership_change();
+  /// Site `id` entered (`alive`) or left the live view: the cached targets
+  /// follow that one change incrementally, then leases settle as above.
+  void on_membership_change(SiteId id, bool alive);
 
   /// Where requests for `addr` should be sent right now: the shard's lease
   /// holder if it is believed alive, else the computed rendezvous target.
@@ -336,15 +337,11 @@ class AttractionMemory {
   std::array<ShardLease, kNumShards> leases_{};
   std::array<std::uint64_t, kNumShards> max_epoch_seen_{};
 
-  // Cached rendezvous targets, recomputed lazily when membership changes
-  // (the dirty flag keeps a 1000-site cluster build from going O(n^3)).
-  std::array<SiteId, kNumShards> targets_{};
+  // Cached rendezvous targets over the live view. Joins and leaves that
+  // name their site update them in O(kNumShards); anything else sets the
+  // dirty flag, and the next read recomputes them from known_sites().
+  ShardTargets shard_targets_;
   bool shard_view_dirty_ = true;
-  // False while our own entry is missing from the live view: a joiner's
-  // membership snapshot is still partial, so lease moves must wait.
-  bool shard_view_has_self_ = true;
-  // Lowest id in the live view; only it may bootstrap-elect fresh shards.
-  SiteId shard_view_lowest_ = kInvalidSite;
   Nanos last_shard_tick_ = 0;
 
   // Crash rebuild: after a takeover the new holder asks every live site to

@@ -196,26 +196,22 @@ void ClusterManager::alive_entry_added(SiteId id) {
       alive_peers_.insert(pos, &sites_.find(id)->second);
     }
   }
-  // The live set changed: shard rendezvous targets must be recomputed and
-  // leases settled (remigration to the joiner happens here).
-  site_.memory().on_membership_change();
+  // The live set changed: shard rendezvous targets follow the joiner and
+  // leases settle (remigration to the joiner happens here). The shard view
+  // keeps its own dirty flag, so a pending rebuild of this cache does not
+  // force it to be recomputed whole.
+  site_.memory().on_membership_change(id, /*alive=*/true);
 }
 
 void ClusterManager::alive_entry_died(SiteId id) {
-  if (alive_dirty_) {
-    site_.memory().on_membership_change();
-    return;
+  if (!alive_dirty_) {
+    --alive_count_;
+    auto pos = std::lower_bound(
+        alive_peers_.begin(), alive_peers_.end(), id,
+        [](const SiteInfo* a, SiteId b) { return a->id < b; });
+    if (pos != alive_peers_.end() && (*pos)->id == id) alive_peers_.erase(pos);
   }
-  --alive_count_;
-  if (id == local_id_) {
-    site_.memory().on_membership_change();
-    return;
-  }
-  auto pos = std::lower_bound(
-      alive_peers_.begin(), alive_peers_.end(), id,
-      [](const SiteInfo* a, SiteId b) { return a->id < b; });
-  if (pos != alive_peers_.end() && (*pos)->id == id) alive_peers_.erase(pos);
-  site_.memory().on_membership_change();
+  site_.memory().on_membership_change(id, /*alive=*/false);
 }
 
 SiteId ClusterManager::resolve_successor(SiteId id) const {

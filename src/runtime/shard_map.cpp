@@ -1,5 +1,7 @@
 #include "runtime/shard_map.hpp"
 
+#include <algorithm>
+
 namespace sdvm {
 
 namespace {
@@ -21,6 +23,18 @@ std::uint32_t checked_shard(ByteReader& r) {
   return shard;
 }
 
+std::uint64_t rendezvous_weight(std::uint32_t shard, SiteId id) {
+  return fnv1a(fnv1a(kFnvOffset, shard), id);
+}
+
+// Strict ordering with id tiebreak keeps the argmax unique even under
+// (astronomically unlikely) weight collisions.
+bool outweighs(std::uint64_t w, SiteId id, std::uint64_t best_weight,
+               SiteId best) {
+  return best == kInvalidSite || w > best_weight ||
+         (w == best_weight && id < best);
+}
+
 }  // namespace
 
 std::uint32_t shard_of(GlobalAddress addr) {
@@ -33,16 +47,53 @@ SiteId shard_target(std::uint32_t shard, const std::vector<SiteId>& live) {
   std::uint64_t best_weight = 0;
   for (SiteId id : live) {
     if (id == kInvalidSite) continue;
-    std::uint64_t w = fnv1a(fnv1a(kFnvOffset, shard), id);
-    // Strict ordering with id tiebreak keeps the argmax unique even under
-    // (astronomically unlikely) weight collisions.
-    if (best == kInvalidSite || w > best_weight ||
-        (w == best_weight && id < best)) {
+    std::uint64_t w = rendezvous_weight(shard, id);
+    if (outweighs(w, id, best_weight, best)) {
       best = id;
       best_weight = w;
     }
   }
   return best;
+}
+
+void ShardTargets::reset(std::vector<SiteId> live) {
+  std::sort(live.begin(), live.end());
+  live.erase(std::unique(live.begin(), live.end()), live.end());
+  std::erase(live, kInvalidSite);
+  live_ = std::move(live);
+  for (std::uint32_t s = 0; s < kNumShards; ++s) {
+    targets_[s] = Winner{};
+    for (SiteId id : live_) challenge(s, id);
+  }
+}
+
+void ShardTargets::challenge(std::uint32_t shard, SiteId id) {
+  ++weight_evals_;
+  const std::uint64_t w = rendezvous_weight(shard, id);
+  Winner& cur = targets_[shard];
+  if (outweighs(w, id, cur.weight, cur.id)) cur = Winner{id, w};
+}
+
+bool ShardTargets::contains(SiteId id) const {
+  return std::binary_search(live_.begin(), live_.end(), id);
+}
+
+void ShardTargets::add(SiteId id) {
+  auto pos = std::lower_bound(live_.begin(), live_.end(), id);
+  if (id == kInvalidSite || (pos != live_.end() && *pos == id)) return;
+  live_.insert(pos, id);
+  for (std::uint32_t s = 0; s < kNumShards; ++s) challenge(s, id);
+}
+
+void ShardTargets::remove(SiteId id) {
+  auto pos = std::lower_bound(live_.begin(), live_.end(), id);
+  if (pos == live_.end() || *pos != id) return;
+  live_.erase(pos);
+  for (std::uint32_t s = 0; s < kNumShards; ++s) {
+    if (targets_[s].id != id) continue;
+    targets_[s] = Winner{};
+    for (SiteId other : live_) challenge(s, other);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 // live here so they can be fuzzed and round-tripped in isolation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,43 @@ inline constexpr std::uint32_t kNumShards = 16;
 /// site only moves the shards whose argmax it was.
 [[nodiscard]] SiteId shard_target(std::uint32_t shard,
                                   const std::vector<SiteId>& live);
+
+/// Every shard's shard_target() over a live view, kept current one join or
+/// leave at a time. A join challenges each shard's winner (kNumShards
+/// weight evaluations); a leave recomputes only the shards the leaver
+/// held. After any sequence of calls, target(s) equals
+/// shard_target(s, live()).
+class ShardTargets {
+ public:
+  /// Recomputes every target from scratch over `live` (any order).
+  void reset(std::vector<SiteId> live);
+  /// `id` entered the live view (no-op if already in it).
+  void add(SiteId id);
+  /// `id` left the live view (no-op if not in it).
+  void remove(SiteId id);
+
+  [[nodiscard]] SiteId target(std::uint32_t shard) const {
+    return targets_[shard].id;
+  }
+  /// The live view, sorted by id.
+  [[nodiscard]] const std::vector<SiteId>& live() const { return live_; }
+  [[nodiscard]] bool contains(SiteId id) const;
+  /// Rendezvous weight evaluations so far (the cost the class is built to
+  /// bound; tests assert on it instead of on wall time).
+  [[nodiscard]] std::uint64_t weight_evals() const { return weight_evals_; }
+
+ private:
+  struct Winner {
+    SiteId id = kInvalidSite;
+    std::uint64_t weight = 0;
+  };
+  /// Makes `id` the winner of `shard` if it beats the current one.
+  void challenge(std::uint32_t shard, SiteId id);
+
+  std::vector<SiteId> live_;
+  std::array<Winner, kNumShards> targets_;
+  std::uint64_t weight_evals_ = 0;
+};
 
 /// One shard's ownership lease as a site currently believes it: who holds
 /// the shard and at which epoch. Epochs only grow; a holder change always

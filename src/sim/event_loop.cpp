@@ -1,222 +1,103 @@
 #include "sim/event_loop.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace sdvm::sim {
 
 namespace {
 
-// Bucket-count bounds. The floor keeps modulo math cheap on tiny queues;
-// the ceiling bounds resize cost for pathological event counts.
-constexpr std::size_t kMinBuckets = 16;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-
-constexpr std::uint64_t kMinWidth = 64;                      // 64 ns
-constexpr std::uint64_t kMaxWidth = std::uint64_t{1} << 40;  // ~18 min
-
-bool before(Nanos at_a, std::uint64_t seq_a, Nanos at_b, std::uint64_t seq_b) {
-  return at_a != at_b ? at_a < at_b : seq_a < seq_b;
+// Strict (at, seq) order, reversed: std::*_heap build max-heaps, so
+// ordering by "later" puts the earliest event on top.
+template <typename K>
+bool later(const K& a, const K& b) {
+  return a.at != b.at ? a.at > b.at : a.seq > b.seq;
 }
 
 }  // namespace
 
-EventLoop::EventLoop() : buckets_(kMinBuckets), width_(1 << 13) {
-  cursor_top_ = static_cast<Nanos>(width_);
-}
-
 void EventLoop::schedule_tagged(Nanos delay, EventTag tag,
                                 std::function<void()> fn) {
-  Event e;
-  e.at = clock_.now() + std::max<Nanos>(delay, 0);
-  e.seq = ++seq_;
-  e.tag = tag;
-  e.fn = std::move(fn);
-  insert(std::move(e));
+  auto slot = static_cast<std::uint32_t>(pool_.size());
+  if (free_slots_.empty()) {
+    pool_.push_back(Event{tag, std::move(fn)});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    pool_[slot] = Event{tag, std::move(fn)};
+  }
+  heap_.push_back(Key{clock_.now() + std::max<Nanos>(delay, 0), ++seq_, slot});
+  std::push_heap(heap_.begin(), heap_.end(), later<Key>);
 }
 
-void EventLoop::insert(Event e) {
-  if (size_ + 1 > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
-    resize(buckets_.size() * 2);
+EventLoop::Key EventLoop::take(std::size_t i) {
+  Key k = heap_[i];
+  if (i == 0) {
+    std::pop_heap(heap_.begin(), heap_.end(), later<Key>);
+    heap_.pop_back();
+  } else {
+    // Only exploration removes from the middle, on small clusters.
+    heap_[i] = heap_.back();
+    heap_.pop_back();
+    std::make_heap(heap_.begin(), heap_.end(), later<Key>);
   }
-  // Inserts may land behind the year cursor (an event due sooner than the
-  // cursor's current window — e.g. a zero-delay pump scheduled right after
-  // the scan advanced past `now`'s bucket). Rewind so it is not orphaned
-  // for a whole calendar year.
-  if (e.at < cursor_top_ - static_cast<Nanos>(width_)) {
-    cursor_ = bucket_of(e.at);
-    cursor_top_ = static_cast<Nanos>(
-        (static_cast<std::uint64_t>(e.at) / width_ + 1) * width_);
-  }
-  buckets_[bucket_of(e.at)].push_back(std::move(e));
-  ++size_;
+  return k;
 }
 
-void EventLoop::resize(std::size_t new_buckets) {
-  std::vector<Event> all;
-  all.reserve(size_);
-  for (auto& b : buckets_) {
-    for (auto& e : b) all.push_back(std::move(e));
-    b.clear();
-  }
-
-  // Re-estimate the bucket width from the live population: the average
-  // inter-event gap makes a visited bucket hold O(1) current-year events.
-  Nanos lo = clock_.now();
-  if (all.size() >= 2) {
-    lo = std::numeric_limits<Nanos>::max();
-    Nanos hi = std::numeric_limits<Nanos>::min();
-    for (const Event& e : all) {
-      lo = std::min(lo, e.at);
-      hi = std::max(hi, e.at);
-    }
-    std::uint64_t span = static_cast<std::uint64_t>(hi - lo);
-    width_ = std::clamp(std::max<std::uint64_t>(span / all.size(), 1),
-                        kMinWidth, kMaxWidth);
-  } else if (!all.empty()) {
-    lo = all.front().at;
-  }
-
-  buckets_.assign(new_buckets, {});
-  for (auto& e : all) buckets_[bucket_of(e.at)].push_back(std::move(e));
-
-  cursor_ = bucket_of(lo);
-  cursor_top_ = static_cast<Nanos>(
-      (static_cast<std::uint64_t>(lo) / width_ + 1) * width_);
-}
-
-// Locates the (at, seq)-minimum event, advancing the year cursor
-// persistently. Non-destructive, so peeking then popping costs one scan.
-// Pre: size_ > 0.
-EventLoop::Ref EventLoop::find_min() {
-  for (std::size_t n = 0; n < buckets_.size(); ++n) {
-    std::vector<Event>& b = buckets_[cursor_];
-    std::size_t best = b.size();
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (b[i].at >= cursor_top_) continue;  // parked for a later year
-      if (best == b.size() ||
-          before(b[i].at, b[i].seq, b[best].at, b[best].seq)) {
-        best = i;
-      }
-    }
-    if (best != b.size()) return Ref{cursor_, best};
-    cursor_ = (cursor_ + 1) & (buckets_.size() - 1);
-    cursor_top_ += static_cast<Nanos>(width_);
-  }
-
-  // A whole year came up empty (sparse far-future events): jump the cursor
-  // straight to the global minimum.
-  Ref min_ref{0, 0};
-  Nanos min_at = std::numeric_limits<Nanos>::max();
-  std::uint64_t min_seq = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t bi = 0; bi < buckets_.size(); ++bi) {
-    const std::vector<Event>& b = buckets_[bi];
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (before(b[i].at, b[i].seq, min_at, min_seq)) {
-        min_at = b[i].at;
-        min_seq = b[i].seq;
-        min_ref = Ref{bi, i};
-      }
-    }
-  }
-  cursor_ = bucket_of(min_at);
-  cursor_top_ = static_cast<Nanos>(
-      (static_cast<std::uint64_t>(min_at) / width_ + 1) * width_);
-  return min_ref;
-}
-
-Nanos EventLoop::peek_min_at() {
-  Ref r = find_min();
-  return buckets_[r.bucket][r.index].at;
-}
-
-EventLoop::Event EventLoop::pop_at(Ref ref) {
-  std::vector<Event>& b = buckets_[ref.bucket];
-  Event e = std::move(b[ref.index]);
-  b[ref.index] = std::move(b.back());
-  b.pop_back();
-  --size_;
-  if (size_ < buckets_.size() / 4 && buckets_.size() > kMinBuckets) {
-    resize(buckets_.size() / 2);
-  }
-  return e;
-}
-
-EventLoop::Event EventLoop::pop_explored() {
-  // Exploration runs on small clusters: a full scan of the pending set is
-  // affordable and keeps the enabled-set logic independent of bucketing.
-  Nanos t_min = std::numeric_limits<Nanos>::max();
-  for (const auto& b : buckets_) {
-    for (const Event& e : b) t_min = std::min(t_min, e.at);
-  }
-  const Nanos horizon = t_min + window_;
+std::size_t EventLoop::pick_explored() const {
+  const Nanos horizon = heap_.front().at + window_;
 
   // Enabled: every delivery within the window (its arrival may be delayed
   // past competitors), plus the earliest internal timer if due within the
   // window (timers cannot be reordered among themselves).
-  std::vector<Ref> refs;
-  std::vector<EventChooser::Choice> choices;
-  Ref first_internal{0, 0};
-  bool have_internal = false;
-  Nanos internal_at = 0;
-  std::uint64_t internal_seq = 0;
-  for (std::size_t bi = 0; bi < buckets_.size(); ++bi) {
-    const std::vector<Event>& b = buckets_[bi];
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      const Event& e = b[i];
-      if (e.tag.kind == EventTag::Kind::kDelivery) {
-        if (e.at <= horizon) {
-          refs.push_back(Ref{bi, i});
-          choices.push_back(EventChooser::Choice{e.at, e.seq, e.tag});
-        }
-      } else if (!have_internal ||
-                 before(e.at, e.seq, internal_at, internal_seq)) {
-        have_internal = true;
-        internal_at = e.at;
-        internal_seq = e.seq;
-        first_internal = Ref{bi, i};
-      }
+  std::vector<std::size_t> enabled;
+  std::size_t first_internal = heap_.size();
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const Key& k = heap_[i];
+    if (pool_[k.slot].tag.kind == EventTag::Kind::kDelivery) {
+      if (k.at <= horizon) enabled.push_back(i);
+    } else if (first_internal == heap_.size() ||
+               later(heap_[first_internal], k)) {
+      first_internal = i;
     }
   }
-  if (have_internal && internal_at <= horizon) {
-    refs.push_back(first_internal);
-    choices.push_back(EventChooser::Choice{
-        internal_at, internal_seq,
-        buckets_[first_internal.bucket][first_internal.index].tag});
+  if (first_internal != heap_.size() &&
+      heap_[first_internal].at <= horizon) {
+    enabled.push_back(first_internal);
   }
-
-  if (choices.size() <= 1) return pop_at(find_min());
+  if (enabled.size() <= 1) return 0;
 
   // Deterministic presentation order: (at, seq).
-  std::vector<std::size_t> order(choices.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return before(choices[a].at, choices[a].seq, choices[b].at,
-                  choices[b].seq);
+  std::sort(enabled.begin(), enabled.end(), [&](std::size_t a, std::size_t b) {
+    return later(heap_[b], heap_[a]);
   });
-  std::vector<EventChooser::Choice> sorted;
-  sorted.reserve(order.size());
-  for (std::size_t i : order) sorted.push_back(choices[i]);
-
-  std::size_t picked = chooser_->choose(sorted);
-  if (picked >= sorted.size()) picked = 0;
-  return pop_at(refs[order[picked]]);
+  std::vector<EventChooser::Choice> choices;
+  choices.reserve(enabled.size());
+  for (std::size_t i : enabled) {
+    const Key& k = heap_[i];
+    choices.push_back(EventChooser::Choice{k.at, k.seq, pool_[k.slot].tag});
+  }
+  std::size_t picked = chooser_->choose(choices);
+  return enabled[picked < enabled.size() ? picked : 0];
 }
 
 bool EventLoop::step() {
-  if (size_ == 0) return false;
-  Event e = chooser_ != nullptr ? pop_explored() : pop_at(find_min());
+  if (heap_.empty()) return false;
+  const Key k = take(chooser_ != nullptr ? pick_explored() : 0);
+  // Move the handler out first: it may schedule, which can grow the pool.
+  std::function<void()> fn = std::move(pool_[k.slot].fn);
+  pool_[k.slot].fn = nullptr;
+  free_slots_.push_back(k.slot);
   // An explored (delayed) delivery may carry a timestamp behind the clock.
-  clock_.advance_to(std::max(clock_.now(), e.at));
+  clock_.advance_to(std::max(clock_.now(), k.at));
   ++executed_;
-  if (e.fn) e.fn();
+  if (fn) fn();
   return true;
 }
 
 bool EventLoop::run_until(const std::function<bool()>& pred, Nanos deadline) {
   while (!pred()) {
-    if (size_ == 0) return false;
-    if (deadline >= 0 && peek_min_at() > deadline) {
+    if (heap_.empty()) return false;
+    if (deadline >= 0 && heap_.front().at > deadline) {
       clock_.advance_to(deadline);
       return false;
     }
@@ -227,7 +108,7 @@ bool EventLoop::run_until(const std::function<bool()>& pred, Nanos deadline) {
 
 void EventLoop::run_for(Nanos duration) {
   Nanos deadline = clock_.now() + duration;
-  while (size_ != 0 && peek_min_at() <= deadline) step();
+  while (!heap_.empty() && heap_.front().at <= deadline) step();
   clock_.advance_to(deadline);
 }
 

@@ -2,14 +2,12 @@
 // handler runs to completion before time advances to the next event. This
 // is what lets a simulated cluster run faithfully on any host.
 //
-// The pending set is a calendar queue (R. Brown, CACM 1988; the same
-// structure SimGrid uses for its event core): O(1) amortized enqueue and
-// dequeue regardless of queue size, which is what keeps 1000-site
-// memberships — hundreds of thousands of concurrently armed heartbeat,
-// gossip and delivery events — simulating at tens of millions of events
-// per second. Ordering is strict (at, seq): two runs that schedule the
-// same events in the same order execute them identically, the property
-// every determinism/golden-trace test rests on.
+// The pending set is a binary min-heap of small (at, seq, slot) keys; the
+// handlers live in a slot pool with a free list, so a sift moves 24 bytes
+// and never a std::function. Enqueue and dequeue are O(log n) and the
+// earliest timestamp is O(1). Ordering is strict (at, seq): two runs that
+// schedule the same events in the same order execute them identically,
+// the property every determinism/golden-trace test rests on.
 //
 // Exploration hook: events carry an EventTag (internal timer vs message
 // delivery, plus the acted-on site). When a chooser is installed, the
@@ -53,8 +51,6 @@ class EventChooser {
 
 class EventLoop {
  public:
-  EventLoop();
-
   void schedule(Nanos delay, std::function<void()> fn) {
     schedule_tagged(delay, EventTag{}, std::move(fn));
   }
@@ -72,7 +68,7 @@ class EventLoop {
 
   [[nodiscard]] Nanos now() const { return clock_.now(); }
   [[nodiscard]] VirtualClock& clock() { return clock_; }
-  [[nodiscard]] std::size_t pending() const { return size_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   /// Events executed since construction (the simscale bench's numerator).
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
@@ -86,42 +82,29 @@ class EventLoop {
   }
 
  private:
-  struct Event {
+  /// Heap entry: the ordering key plus the pool slot of its payload.
+  struct Key {
     Nanos at = 0;
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+  };
+  struct Event {
     EventTag tag;
     std::function<void()> fn;
   };
 
-  /// Position of an event inside the bucket array.
-  struct Ref {
-    std::size_t bucket = 0;
-    std::size_t index = 0;
-  };
-
-  Ref find_min();
-  /// Earliest pending event's timestamp (queue must be non-empty).
-  Nanos peek_min_at();
-  Event pop_explored();
-  Event pop_at(Ref ref);
-  void insert(Event e);
-  void resize(std::size_t new_buckets);
-  [[nodiscard]] std::size_t bucket_of(Nanos at) const {
-    return static_cast<std::size_t>(static_cast<std::uint64_t>(at) / width_) &
-           (buckets_.size() - 1);
-  }
+  /// Heap index of the event the installed chooser picks.
+  std::size_t pick_explored() const;
+  /// Removes heap entry `i` and returns its key.
+  Key take(std::size_t i);
 
   VirtualClock clock_;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
 
-  // Calendar queue: power-of-two bucket count, each bucket an unsorted
-  // vector scanned for the (at, seq) minimum when visited.
-  std::vector<std::vector<Event>> buckets_;
-  std::uint64_t width_;        // virtual-time width of one bucket
-  std::size_t size_ = 0;       // events pending across all buckets
-  std::size_t cursor_ = 0;     // bucket the year scan resumes from
-  Nanos cursor_top_ = 0;       // end of cursor_'s current-year window
+  std::vector<Key> heap_;  // min-heap on (at, seq)
+  std::vector<Event> pool_;
+  std::vector<std::uint32_t> free_slots_;
 
   EventChooser* chooser_ = nullptr;
   Nanos window_ = 0;

@@ -104,6 +104,7 @@ struct Forwarder final : net::Transport {
 }  // namespace
 
 void SimCluster::wire_site(Entry* e, std::size_t slot) {
+  ++sites_wired_;
   e->driver =
       std::make_unique<SimDriver>(loop_, static_cast<std::uint32_t>(slot));
   e->site = std::make_unique<Site>(e->config, loop_.clock(), *e->driver);
@@ -319,9 +320,25 @@ Result<std::int64_t> SimCluster::run_program(ProgramId pid, Nanos deadline) {
     }
     return std::nullopt;
   };
-  bool ok =
-      loop_.run_until([&] { return find_verdict().has_value(); },
-                      deadline < 0 ? -1 : loop_.now() + deadline);
+  // A verdict can only appear when some site terminates the program, so
+  // every site gets a waiter and the scan runs only after one fires — not
+  // after every event. Sites wired since (joins, restarts) get one too.
+  auto fired = std::make_shared<bool>(false);
+  std::uint64_t watched_wirings = 0;
+  auto verdict_ready = [&] {
+    if (watched_wirings != sites_wired_) {
+      watched_wirings = sites_wired_;
+      for (auto& e : entries_) {
+        e->site->programs().add_waiter(
+            pid, [fired](std::int64_t) { *fired = true; });
+      }
+    }
+    if (!*fired) return false;
+    *fired = false;
+    return find_verdict().has_value();
+  };
+  bool ok = loop_.run_until(verdict_ready,
+                            deadline < 0 ? -1 : loop_.now() + deadline);
   if (!ok) {
     return Status::error(ErrorCode::kUnavailable,
                          "program did not terminate in time");

@@ -178,6 +178,7 @@ class SimCluster final : public Cluster {
   std::vector<std::unique_ptr<Entry>> entries_;
 
   void wire_site(Entry* e, std::size_t slot);
+  std::uint64_t sites_wired_ = 0;  // Site incarnations created so far
 
   /// Dead incarnations are kept, not destroyed: queued event-loop
   /// callbacks and network deliveries still hold raw pointers into them.

@@ -3,6 +3,10 @@
 // manager's wire format, program info, id allocation strategies.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <random>
+#include <set>
+
 #include "runtime/cluster_info.hpp"
 #include "runtime/frame.hpp"
 #include "runtime/message.hpp"
@@ -295,6 +299,62 @@ TEST(ShardMapTest, RendezvousRemovalOnlyMovesVictimsShards) {
       }
     }
   }
+}
+
+TEST(ShardMapTest, ShardTargetsMatchFromScratchThroughChurn) {
+  // Seeded joins, leaves and crashes over ids 1..300. After every step the
+  // incrementally kept targets must equal shard_target() recomputed from
+  // scratch, and a join must cost at most one weight evaluation per shard.
+  std::mt19937 rng(21);
+  ShardTargets targets;
+  targets.reset({7, 3, 3, kInvalidSite, 12});  // unsorted, duplicate, invalid
+  std::set<SiteId> live = {3, 7, 12};
+  int joins = 0;
+  int leaves = 0;
+  int crashes = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t evals_before = targets.weight_evals();
+    // 70 % joins, 15 % leaves, 15 % crashes: ~170 members at equilibrium.
+    const unsigned op = rng() % 20;
+    if (op < 14 || live.size() < 2) {
+      const SiteId id = 1 + rng() % 300;
+      const bool fresh = !live.contains(id);
+      targets.add(id);
+      live.insert(id);
+      ++joins;
+      EXPECT_LE(targets.weight_evals() - evals_before,
+                fresh ? kNumShards : 0u);
+    } else if (op < 17) {
+      // Graceful leave of a random member.
+      auto it = live.begin();
+      std::advance(it, rng() % live.size());
+      const SiteId id = *it;
+      std::uint32_t held = 0;
+      for (std::uint32_t s = 0; s < kNumShards; ++s) {
+        if (targets.target(s) == id) ++held;
+      }
+      live.erase(it);
+      targets.remove(id);
+      ++leaves;
+      // Only the leaver's shards are recomputed, over the survivors.
+      EXPECT_LE(targets.weight_evals() - evals_before, held * live.size());
+    } else {
+      // Crash of a shard holder: the worst case, which forces a recompute.
+      const SiteId id = targets.target(rng() % kNumShards);
+      live.erase(id);
+      targets.remove(id);
+      ++crashes;
+    }
+    const std::vector<SiteId> view(live.begin(), live.end());
+    ASSERT_EQ(targets.live(), view) << "step " << step;
+    for (std::uint32_t s = 0; s < kNumShards; ++s) {
+      ASSERT_EQ(targets.target(s), shard_target(s, view))
+          << "step " << step << " shard " << s;
+    }
+  }
+  EXPECT_GT(joins, 2000);
+  EXPECT_GT(leaves, 400);
+  EXPECT_GT(crashes, 400);
 }
 
 TEST(ShardMapTest, ShardHandoffRoundTrip) {

@@ -180,6 +180,40 @@ TEST(ShardSimTest, JoinRemigratesShardsToNewTarget) {
       << "no graceful kShardHandoff carried the remigration";
 }
 
+TEST(ShardSimTest, HoldersFollowRendezvousThroughSignOffsAndJoins) {
+  // Each site caches the rendezvous targets and updates them one leave or
+  // join at a time. A cache that missed a leave would keep a departed
+  // site as some shard's winner, and a later joiner that beats the real
+  // holder but not the departed site would never receive the shard.
+  SimCluster cluster;
+  cluster.add_sites(6);
+  cluster.loop().run_for(2 * kNanosPerSecond);
+  std::vector<std::size_t> live = {0, 1, 2, 3, 4, 5};
+  auto expect_holders_on_targets = [&](const char* phase, int round) {
+    expect_shard_convergence(cluster, live);
+    std::vector<SiteId> ids;
+    for (std::size_t slot : live) ids.push_back(cluster.site(slot).id());
+    auto leases = cluster.site(0).memory().shard_leases();
+    for (std::uint32_t s = 0; s < kNumShards; ++s) {
+      EXPECT_EQ(leases[s].holder, shard_target(s, ids))
+          << "after " << phase << " in round " << round << ", shard " << s;
+    }
+  };
+  expect_holders_on_targets("bootstrap", 0);
+  for (int round = 1; round <= 4; ++round) {
+    const std::size_t leaver = live[1 + round % (live.size() - 1)];
+    ASSERT_TRUE(cluster.sign_off(leaver).is_ok());
+    std::erase(live, leaver);
+    cluster.loop().run_for(2 * kNanosPerSecond);
+    expect_holders_on_targets("sign-off", round);
+
+    cluster.add_site(SiteConfig{});
+    live.push_back(cluster.size() - 1);
+    cluster.loop().run_for(2 * kNanosPerSecond);
+    expect_holders_on_targets("join", round);
+  }
+}
+
 // --- killing the lease holder, sim mode -------------------------------------
 
 TEST(ShardSimTest, KillLeaseHolderMidProgramRecovers) {
