@@ -8,6 +8,9 @@
 //    values survive a serialize/deserialize round trip bit-exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "test_util.hpp"
 
 #include "apps/fibonacci.hpp"
@@ -22,11 +25,15 @@ namespace {
 
 using sim::SimCluster;
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must hold no padding: an `int` here left four uninitialized bytes that
+// gave the same case a different name on every run.
 struct TopologyCase {
-  int sites;
+  std::int64_t sites;
   Nanos latency;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TopologyCase>);
 
 class DataflowConservationTest
     : public ::testing::TestWithParam<TopologyCase> {};
@@ -39,7 +46,7 @@ TEST_P(DataflowConservationTest, FibExactUnderAnyTopology) {
   SimCluster cluster(options);
   SiteConfig cfg;
   cfg.help_retry_interval = 200'000;
-  cluster.add_sites(tc.sites, 1.0, cfg);
+  cluster.add_sites(static_cast<int>(tc.sites), 1.0, cfg);
 
   apps::FibParams params;
   params.n = 11;
