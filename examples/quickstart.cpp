@@ -1,8 +1,9 @@
 // Quickstart: the smallest complete SDVM application.
 //
 // Builds a two-site cluster inside this process (each site is a full SDVM
-// daemon with its own engine and worker threads), submits a three-
-// microthread dataflow program written in MicroC, and prints its output.
+// daemon whose engine thread runs its microthreads as fibers), submits a
+// three-microthread dataflow program written in MicroC, and prints its
+// output.
 //
 //   $ ./quickstart
 //

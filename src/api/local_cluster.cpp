@@ -11,11 +11,8 @@ LocalCluster::LocalCluster(Options options)
 
 LocalCluster::~LocalCluster() {
   for (auto& e : entries_) e->engine.stop();
-  // Stop worker pools and leave the fabric before the fabric goes away.
-  for (auto& e : entries_) {
-    e->site->processing().stop();
-    e->endpoint->close();
-  }
+  // Leave the fabric before the fabric goes away.
+  for (auto& e : entries_) e->endpoint->close();
 }
 
 Site& LocalCluster::add_site(SiteConfig config) {
@@ -172,7 +169,6 @@ void LocalCluster::kill(std::size_t index) {
   e->killed = true;
   e->engine.stop();
   network_.kill(e->endpoint->local_address());
-  e->site->processing().stop();
 }
 
 std::vector<std::string> LocalCluster::outputs(std::size_t frontend_index,

@@ -1,7 +1,8 @@
 // LocalCluster: the "threads" deployment mode. Every site is a full SDVM
-// daemon with its own engine thread and worker pool, connected over the
-// in-process message fabric (optionally with modeled latency and faults).
-// Wall-clock time; real parallelism.
+// daemon with its own engine thread, which runs all of the site's
+// microthread fibers, connected over the in-process message fabric
+// (optionally with modeled latency and faults). Wall-clock time; sites run
+// in parallel.
 #pragma once
 
 #include <condition_variable>

@@ -204,7 +204,6 @@ void TcpNode::shutdown() {
   bool expected = false;
   if (!stopped_.compare_exchange_strong(expected, true)) return;
   engine_.stop();
-  site_->processing().stop();
   if (site_->transport() != nullptr) site_->transport()->close();
 }
 

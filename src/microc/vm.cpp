@@ -1,5 +1,7 @@
 #include "microc/vm.hpp"
 
+#include <algorithm>
+
 namespace sdvm::microc {
 
 namespace {
@@ -42,7 +44,7 @@ inline std::int64_t vm_neg(std::int64_t a) {
 #define VM_NEXT                                \
   do {                                         \
     steps += ip->cost;                         \
-    if (steps > step_limit) goto vm_limit;     \
+    if (steps > stop) goto vm_limit;           \
     goto* kTargets[static_cast<int>(ip->op)];  \
   } while (0)
 
@@ -54,6 +56,9 @@ VmResult Vm::run(const DecodedProgram& d, const Program& p,
   std::int64_t* sp = stack_store.data();
   std::vector<std::int64_t> locals(p.local_count, 0);
   std::uint64_t steps = 0;
+  // Where the loop next leaves the fast path: the step limit, or the end
+  // of the current slice.
+  std::uint64_t stop = std::min(step_limit, kSliceSteps);
   const char* trap_msg = "trap";
 
   auto pool_str = [&](std::int64_t idx) -> const std::string& {
@@ -161,11 +166,13 @@ VmResult Vm::run(const DecodedProgram& d, const Program& p,
     t_kAlloc: { sp[-1] = handler.alloc(sp[-1]); ++ip; } VM_NEXT;
     t_kGlobalLoad: {
       std::int64_t idx = *--sp;
+      handler.steps_at_call = steps;
       sp[-1] = handler.load(sp[-1], idx);
       ++ip;
     } VM_NEXT;
     t_kGlobalStore: {
       std::int64_t v = *--sp, idx = *--sp, addr = *--sp;
+      handler.steps_at_call = steps;
       handler.store(addr, idx, v);
       ++ip;
     } VM_NEXT;
@@ -228,6 +235,13 @@ VmResult Vm::run(const DecodedProgram& d, const Program& p,
     } VM_NEXT;
 
   vm_limit:
+    if (steps <= step_limit) {
+      // A slice is used up: let the handler run other work, then execute
+      // the instruction at ip.
+      handler.slice_done();
+      stop = std::min(step_limit, steps + kSliceSteps);
+      goto* kTargets[static_cast<int>(ip->op)];
+    }
     return {Status::error(ErrorCode::kResourceExhausted,
                           "microthread '" + p.name + "' exceeded step limit"),
             steps};

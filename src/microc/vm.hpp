@@ -57,6 +57,14 @@ class IntrinsicHandler {
   virtual std::int64_t arg(std::int64_t index) = 0;
   virtual std::int64_t num_args() = 0;
   virtual void exit_program(std::int64_t code) = 0;
+  /// The VM ran another Vm::kSliceSteps instructions: a handler that
+  /// shares its thread with other work may yield here.
+  virtual void slice_done() {}
+
+  /// Instructions the VM had executed when it last called load() or
+  /// store(), the calls that may park the microthread: a parking handler
+  /// bills the work done so far from it.
+  std::uint64_t steps_at_call = 0;
 };
 
 /// Intrinsic handlers may throw this to abort the running microthread
@@ -79,6 +87,8 @@ class Vm {
   /// Upper bound on executed instructions; microthreads are "short code
   /// fragments", so a runaway loop is a program bug we trap.
   static constexpr std::uint64_t kDefaultStepLimit = 500'000'000;
+  /// Instructions between IntrinsicHandler::slice_done() calls.
+  static constexpr std::uint64_t kSliceSteps = 1 << 20;
 
   /// Decodes (verifying) then runs `program`. Invalid bytecode yields an
   /// error result, never UB. Convenience path for tests and tools; the

@@ -192,14 +192,31 @@ GlobalAddress AttractionMemory::alloc_object(ProgramId pid,
     entry.program = pid;
     return addr;
   }
-  SiteId route = route_of(s);
-  if (route == site_.id() || route == kInvalidSite) {
-    // Authority is (about to be) ours or unknown: defer to the tick.
-    pending_registers_.push_back(ShardDirEntry{addr, site_.id(), pid});
-  } else {
-    send_register(addr, pid, site_.id(), route, 0);
-  }
+  register_with_holder(addr, pid, site_.id());
   return addr;
+}
+
+void AttractionMemory::register_with_holder(GlobalAddress addr,
+                                            ProgramId pid, SiteId owner) {
+  const SiteId route = route_of(shard_of(addr));
+  if (route != site_.id() && route != kInvalidSite) {
+    send_register(addr, pid, owner, route, 0);
+  } else {
+    // Authority is (about to be) ours or unknown: defer to the tick.
+    pending_registers_.push_back(ShardDirEntry{addr, owner, pid});
+  }
+}
+
+void AttractionMemory::adopt_object(MemObject obj) {
+  const GlobalAddress addr = obj.addr;
+  const ProgramId pid = obj.program;
+  install_object(std::move(obj));
+  if (shard_authoritative(shard_of(addr))) {
+    directory_[addr].owner = site_.id();
+    grant_next(addr);
+  } else {
+    register_with_holder(addr, pid, site_.id());
+  }
 }
 
 MemObject* AttractionMemory::local_object(GlobalAddress addr) {
@@ -227,45 +244,42 @@ MemObject AttractionMemory::give_away(GlobalAddress addr) {
   return std::move(objects_.extract(addr).mapped());
 }
 
-void AttractionMemory::set_directory_owner(GlobalAddress addr, SiteId owner) {
-  directory_[addr].owner = owner;
-}
-
 SiteId AttractionMemory::directory_owner(GlobalAddress addr) const {
   ++directory_lookups_;
   auto it = directory_.find(addr);
   return it == directory_.end() ? kInvalidSite : it->second.owner;
 }
 
-Result<MemObject*> AttractionMemory::attract(
-    GlobalAddress addr, std::shared_ptr<FetchState>* wait) {
-  if (auto* obj = local_object(addr); obj != nullptr) {
-    ++local_hits_;
-    return obj;
+Result<std::int64_t*> AttractionMemory::word(GlobalAddress addr,
+                                             std::int64_t index) {
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    if (MemObject* obj = local_object(addr); obj != nullptr) {
+      ++local_hits_;
+      if (index < 0 || static_cast<std::size_t>(index) >= obj->words.size()) {
+        return Status::error(ErrorCode::kInvalidArgument,
+                             "memory index out of range");
+      }
+      return &obj->words[static_cast<std::size_t>(index)];
+    }
+    // Park on (or start) a fetch; retry once it lands.
+    auto it = fetching_.find(addr);
+    if (it == fetching_.end()) {
+      ++remote_fetches_;
+      it = fetching_.emplace(addr, std::make_shared<FetchState>()).first;
+      begin_fetch(addr);
+    }
+    std::shared_ptr<FetchState> cell = it->second;
+    if (Status st = site_.processing().park(*cell); !st.is_ok()) return st;
+    // A fetched object stays here until every microthread its arrival
+    // woke has run again, so contending sites cannot starve each other's
+    // microthreads by recalling it first. Let it go once the last one's
+    // segment is over, not in the middle of it.
+    if (auto h = held_.find(addr); h != held_.end() && --h->second.fibers == 0) {
+      site_.schedule_after(0, [this, addr] { release_hold(addr); });
+    }
   }
-
-  if (sim_fetch_) {
-    // Sim mode: the oracle migrates the object here immediately and
-    // reports the modeled round-trip stall.
-    ++remote_fetches_;
-    MemObject obj;
-    auto stall = sim_fetch_(addr, &obj);
-    if (!stall.is_ok()) return stall.status();
-    sim_stall_ += stall.value();
-    ++migrations_in_;
-    install_object(std::move(obj));
-    return local_object(addr);
-  }
-
-  // Threaded modes: park on (or start) a fetch.
-  auto it = fetching_.find(addr);
-  if (it == fetching_.end()) {
-    ++remote_fetches_;
-    it = fetching_.emplace(addr, std::make_shared<FetchState>()).first;
-    begin_fetch(addr);
-  }
-  *wait = it->second;
-  return Status::error(ErrorCode::kUnavailable, "fetch in progress");
+  return Status::error(ErrorCode::kUnavailable,
+                       "memory object ping-ponging, giving up");
 }
 
 void AttractionMemory::begin_fetch(GlobalAddress addr) {
@@ -346,8 +360,20 @@ void AttractionMemory::begin_fetch(GlobalAddress addr) {
     }
     ++migrations_in_;
     install_object(std::move(obj).value());
-    node.mapped()->signal(Status::ok());
+    complete_fetch(*node.mapped(), addr);
   });
+}
+
+void AttractionMemory::complete_fetch(FetchState& cell, GlobalAddress addr) {
+  const std::size_t woken = cell.signal(Status::ok());
+  if (woken > 0) held_[addr].fibers += woken;
+}
+
+void AttractionMemory::release_hold(GlobalAddress addr) {
+  auto node = held_.extract(addr);
+  if (node.empty()) return;
+  for (const SdMessage& m : node.mapped().recalls) answer_recall(m, addr);
+  grant_next(addr);
 }
 
 void AttractionMemory::retry_fetch(GlobalAddress addr,
@@ -371,38 +397,11 @@ void AttractionMemory::retry_fetch(GlobalAddress addr,
   });
 }
 
-Result<std::int64_t> AttractionMemory::try_read_word(
-    GlobalAddress addr, std::int64_t index,
-    std::shared_ptr<FetchState>* wait) {
-  auto obj = attract(addr, wait);
-  if (!obj.is_ok()) return obj.status();
-  auto& words = obj.value()->words;
-  if (index < 0 || static_cast<std::size_t>(index) >= words.size()) {
-    return Status::error(ErrorCode::kInvalidArgument,
-                         "memory index out of range");
-  }
-  return words[static_cast<std::size_t>(index)];
-}
-
-Status AttractionMemory::try_write_word(GlobalAddress addr,
-                                        std::int64_t index, std::int64_t value,
-                                        std::shared_ptr<FetchState>* wait) {
-  auto obj = attract(addr, wait);
-  if (!obj.is_ok()) return obj.status();
-  auto& words = obj.value()->words;
-  if (index < 0 || static_cast<std::size_t>(index) >= words.size()) {
-    return Status::error(ErrorCode::kInvalidArgument,
-                         "memory index out of range");
-  }
-  words[static_cast<std::size_t>(index)] = value;
-  return Status::ok();
-}
-
 void AttractionMemory::grant_next(GlobalAddress addr) {
   auto dit = directory_.find(addr);
   if (dit == directory_.end()) return;
   DirEntry& d = dit->second;
-  if (d.waiters.empty()) return;
+  if (d.waiters.empty() || held_.contains(addr)) return;
 
   if (d.owner == site_.id() && owns(addr)) {
     Waiter w = std::move(d.waiters.front());
@@ -411,7 +410,7 @@ void AttractionMemory::grant_next(GlobalAddress addr) {
     if (w.requester == site_.id()) {
       // Our own fetch: object is already local.
       fetching_.erase(addr);
-      if (w.local) w.local->signal(Status::ok());
+      if (w.local) complete_fetch(*w.local, addr);
     } else {
       ByteWriter bw;
       give_away(addr).serialize(bw);
@@ -446,26 +445,23 @@ void AttractionMemory::grant_next(GlobalAddress addr) {
       if (r.is_ok() && r.value().type == MsgType::kObjectReturn) {
         ByteReader rd(r.value().payload);
         auto obj = MemObject::deserialize(rd);
-        if (obj.is_ok()) {
-          ProgramId pid = obj.value().program;
-          install_object(std::move(obj).value());
-          const std::uint32_t s = shard_of(addr);
-          if (!shard_authoritative(s)) {
-            SiteId route = route_of(s);
-            if (route != site_.id() && route != kInvalidSite) {
-              send_register(addr, pid, site_.id(), route, 0);
-            } else {
-              pending_registers_.push_back(
-                  ShardDirEntry{addr, site_.id(), pid});
-            }
-          }
-        }
+        if (obj.is_ok()) adopt_object(std::move(obj).value());
       }
       return;
     }
     DirEntry& d2 = dit2->second;
     d2.recall_in_flight = false;
 
+    constexpr int kMaxRecallMisses = 8;
+    if (r.is_ok() && r.value().type == MsgType::kObjectMiss &&
+        ++d2.recall_misses <= kMaxRecallMisses) {
+      // A live owner that misses may not hold the object *yet*: the links
+      // do not keep order, so this recall can overtake our grant to it.
+      // Ask again; the grant lands first within a round trip.
+      grant_next(addr);
+      return;
+    }
+    d2.recall_misses = 0;
     if (!r.is_ok() || r.value().type != MsgType::kObjectReturn) {
       // Owner dead or object lost; recovery (if enabled) will restore it.
       Status failure = r.is_ok()
@@ -498,6 +494,21 @@ void AttractionMemory::grant_next(GlobalAddress addr) {
   });
 }
 
+void AttractionMemory::answer_recall(const SdMessage& msg,
+                                     GlobalAddress addr) {
+  SdMessage reply;
+  reply.src_mgr = reply.dst_mgr = ManagerId::kAttractionMemory;
+  if (owns(addr)) {
+    ByteWriter bw;
+    give_away(addr).serialize(bw);
+    reply.type = MsgType::kObjectReturn;
+    reply.payload = bw.take();
+  } else {
+    reply.type = MsgType::kObjectMiss;
+  }
+  (void)site_.messages().respond(msg, std::move(reply));
+}
+
 void AttractionMemory::handle(const SdMessage& msg) {
   switch (msg.type) {
     case MsgType::kApplyParam: {
@@ -518,17 +529,11 @@ void AttractionMemory::handle(const SdMessage& msg) {
       try {
         ByteReader r(msg.payload);
         GlobalAddress addr = r.address();
-        SdMessage reply;
-        reply.src_mgr = reply.dst_mgr = ManagerId::kAttractionMemory;
-        if (owns(addr)) {
-          ByteWriter bw;
-          give_away(addr).serialize(bw);
-          reply.type = MsgType::kObjectReturn;
-          reply.payload = bw.take();
+        if (auto it = held_.find(addr); it != held_.end()) {
+          it->second.recalls.push_back(msg);  // answered when released
         } else {
-          reply.type = MsgType::kObjectMiss;
+          answer_recall(msg, addr);
         }
-        (void)site_.messages().respond(msg, std::move(reply));
       } catch (const DecodeError&) {
       }
       break;
@@ -542,24 +547,7 @@ void AttractionMemory::handle(const SdMessage& msg) {
       try {
         ByteReader r(msg.payload);
         auto obj = MemObject::deserialize(r);
-        if (obj.is_ok()) {
-          GlobalAddress addr = obj.value().addr;
-          ProgramId pid = obj.value().program;
-          install_object(std::move(obj).value());
-          const std::uint32_t s = shard_of(addr);
-          if (shard_authoritative(s)) {
-            directory_[addr].owner = site_.id();
-            grant_next(addr);
-          } else {
-            SiteId route = route_of(s);
-            if (route != site_.id() && route != kInvalidSite) {
-              send_register(addr, pid, site_.id(), route, 0);
-            } else {
-              pending_registers_.push_back(
-                  ShardDirEntry{addr, site_.id(), pid});
-            }
-          }
-        }
+        if (obj.is_ok()) adopt_object(std::move(obj).value());
       } catch (const DecodeError&) {
       }
       break;
@@ -795,12 +783,7 @@ void AttractionMemory::restore_snapshot(ByteReader& r) {
     // not mediate this shard: route the entry to the current holder. This
     // is how a handed-off shard survives a cold restart — recovery lands
     // the entries wherever the lease now lives.
-    SiteId route = route_of(s);
-    if (route != site_.id() && route != kInvalidSite) {
-      send_register(addr, pid, owner, route, 0);
-    } else {
-      pending_registers_.push_back(ShardDirEntry{addr, owner, pid});
-    }
+    register_with_holder(addr, pid, owner);
   }
 }
 
@@ -917,6 +900,7 @@ void AttractionMemory::drop_program(ProgramId pid) {
   }
   std::erase_if(directory_,
                 [&](const auto& kv) { return kv.second.program == pid; });
+  for (auto addr : dead_objects) release_hold(addr);
   std::erase_if(pending_registers_,
                 [&](const ShardDirEntry& e) { return e.program == pid; });
 }

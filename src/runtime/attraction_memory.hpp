@@ -22,12 +22,10 @@
 
 #include <algorithm>
 #include <array>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -35,6 +33,7 @@
 #include "runtime/frame.hpp"
 #include "runtime/message.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/processing_manager.hpp"
 #include "runtime/shard_map.hpp"
 
 namespace sdvm {
@@ -96,63 +95,18 @@ class AttractionMemory {
   // --- global memory objects -------------------------------------------------
   GlobalAddress alloc_object(ProgramId pid, std::int64_t nwords);
 
-  /// Synchronization cell for a microthread parked on a remote fetch. The
-  /// worker waits outside the site lock; the pump signals on grant/failure.
-  struct FetchState {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
+  /// Word access from a running microthread: attracts the object here,
+  /// parking the microthread while it travels. The pointer stays valid
+  /// until the microthread parks again.
+  Result<std::int64_t*> word(GlobalAddress addr, std::int64_t index);
 
-    void wait() {
-      std::unique_lock lk(m);
-      cv.wait(lk, [this] { return done; });
-    }
-    void signal(Status st) {
-      {
-        std::lock_guard lk(m);
-        done = true;
-        status = std::move(st);
-      }
-      cv.notify_all();
-    }
-  };
-
-  /// Non-blocking word access from a running microthread, called under the
-  /// site lock. If the object is local (or the sim oracle attracts it
-  /// immediately, charging the stall), returns the value. Otherwise
-  /// initiates migration and hands back a FetchState to wait on outside
-  /// the lock; the caller retries afterwards.
-  Result<std::int64_t> try_read_word(GlobalAddress addr, std::int64_t index,
-                                     std::shared_ptr<FetchState>* wait);
-  Status try_write_word(GlobalAddress addr, std::int64_t index,
-                        std::int64_t value,
-                        std::shared_ptr<FetchState>* wait);
-
-  /// Virtual stall nanos accumulated by sim-oracle fetches since the last
-  /// call (collected per microthread execution).
-  [[nodiscard]] Nanos take_sim_stall() {
-    Nanos s = sim_stall_;
-    sim_stall_ = 0;
-    return s;
-  }
-  /// Other managers (I/O reroutes) account their sim stalls here too.
-  void add_sim_stall(Nanos stall) { sim_stall_ += std::max<Nanos>(stall, 0); }
-
-  /// Sim-mode oracle: fetches the object from wherever it currently is,
-  /// returns the stall cost in nanos. Installed by the simulator.
-  using SimFetchHook =
-      std::function<Result<Nanos>(GlobalAddress, MemObject* out)>;
-  void set_sim_fetch_hook(SimFetchHook hook) { sim_fetch_ = std::move(hook); }
-
-  /// Direct access for the simulator / checkpointing (object must be local).
+  /// Direct access for checkpointing (object must be local).
   [[nodiscard]] MemObject* local_object(GlobalAddress addr);
   [[nodiscard]] bool owns(GlobalAddress addr) const;
-  void install_object(MemObject obj);  // sim oracle / recovery
-  /// Hands a local object over to another site (migration grant, recall
-  /// or the sim oracle): removes it here and counts the migration out.
+  void install_object(MemObject obj);  // migration / recovery
+  /// Hands a local object over to another site (migration grant or
+  /// recall): removes it here and counts the migration out.
   [[nodiscard]] MemObject give_away(GlobalAddress addr);
-  void set_directory_owner(GlobalAddress addr, SiteId owner);
   [[nodiscard]] SiteId directory_owner(GlobalAddress addr) const;
 
   void handle(const SdMessage& msg);
@@ -247,7 +201,7 @@ class AttractionMemory {
   metrics::Counter frames_created_;
   metrics::Counter params_applied_;
   metrics::Counter remote_fetches_;      // fetches that left the site
-  // mutable: counted inside const lookup paths (sim oracle resolution).
+  // mutable: counted inside the const directory_owner() lookup.
   mutable metrics::Counter directory_lookups_;
 
   // Sharded-directory instruments ("dir." prefix).
@@ -255,13 +209,20 @@ class AttractionMemory {
   metrics::Counter lease_renewals_;       // per-tick renewals of held leases
   metrics::Counter stale_epoch_rejects_;  // routed requests rejected as stale
 
+  /// Completion cell of a remote fetch: the microthreads that missed on
+  /// the object park on it; the pump signals it on grant or failure.
+  using FetchState = ProcessingManager::ParkCell;
+
   void frame_became_executable(Microframe frame);
-  /// Ensures the object is local, possibly initiating migration. Returns
-  /// the object, or sets *wait, or fails.
-  Result<MemObject*> attract(GlobalAddress addr,
-                             std::shared_ptr<FetchState>* wait);
   void begin_fetch(GlobalAddress addr);
   void grant_next(GlobalAddress addr);
+  /// Completes a local fetch, holding the object for the microthreads the
+  /// completion woke (see word()).
+  void complete_fetch(FetchState& cell, GlobalAddress addr);
+  void answer_recall(const SdMessage& msg, GlobalAddress addr);
+  /// Ends a hold: answers the recalls it kept waiting and serves queued
+  /// requests.
+  void release_hold(GlobalAddress addr);
 
   Site& site_;
   std::uint64_t next_local_id_ = 1;
@@ -296,11 +257,21 @@ class AttractionMemory {
     ProgramId program;
     std::deque<Waiter> waiters;
     bool recall_in_flight = false;
+    int recall_misses = 0;  // consecutive misses from a live owner
   };
   std::unordered_map<GlobalAddress, DirEntry> directory_;
 
   // Fetches this site is waiting on, keyed by object address.
   std::unordered_map<GlobalAddress, std::shared_ptr<FetchState>> fetching_;
+
+  // Fetched objects held for the microthreads their arrival woke: the
+  // object leaves (recall answered, next waiter granted) only once all of
+  // them have run again.
+  struct Hold {
+    std::size_t fibers = 0;
+    std::vector<SdMessage> recalls;
+  };
+  std::unordered_map<GlobalAddress, Hold> held_;
 
   // --- sharded-directory state ---------------------------------------------
   // Routing/stale handling helpers (see attraction_memory.cpp).
@@ -322,6 +293,12 @@ class AttractionMemory {
   std::uint64_t next_epoch(std::uint32_t shard) const;
   void send_register(GlobalAddress addr, ProgramId pid, SiteId owner,
                      SiteId route, std::uint8_t hops);
+  /// Tells the shard holder that `owner` holds `addr`, or queues the entry
+  /// for the tick while the route is unknown or points back at us.
+  void register_with_holder(GlobalAddress addr, ProgramId pid, SiteId owner);
+  /// Keeps an object that arrived unasked (relayed grant or return, recall
+  /// answered after a handoff) and records our custody.
+  void adopt_object(MemObject obj);
   void reject_stale(const SdMessage& msg, std::uint32_t shard);
   void park_remote(const SdMessage& msg, std::uint32_t shard, Nanos parked_at);
   void park_local_fetch(GlobalAddress addr);
@@ -371,9 +348,6 @@ class AttractionMemory {
   // Directory entries restored from a checkpoint (or allocated) while the
   // shard route was still unknown; flushed each tick.
   std::vector<ShardDirEntry> pending_registers_;
-
-  SimFetchHook sim_fetch_;
-  Nanos sim_stall_ = 0;
 };
 
 }  // namespace sdvm

@@ -263,8 +263,7 @@ void CrashManager::expire_pending_shards(Pred pred) {
     freeze_depth_ = 0;
     site_.processing().set_frozen(false);
     site_.scheduling().set_frozen(false);
-    site_.processing().kick();
-    site_.driver().notify_work();
+    site_.driver().request_wakeup(0);
   }
 }
 
@@ -431,8 +430,7 @@ void CrashManager::handle_commit(const SdMessage& msg) {
         freeze_depth_ = 0;
         site_.processing().set_frozen(false);
         site_.scheduling().set_frozen(false);
-        site_.processing().kick();
-        site_.driver().notify_work();
+        site_.driver().request_wakeup(0);
       }
       return;
     }
@@ -763,7 +761,7 @@ void CrashManager::handle_restore(const SdMessage& msg) {
     ack.type = MsgType::kRecoveryAck;
     ack.program = msg.program;
     (void)site_.messages().respond(msg, std::move(ack));
-    site_.driver().notify_work();
+    site_.driver().request_wakeup(0);
   } catch (const DecodeError& e) {
     SDVM_ERROR(site_.tag()) << "bad recovery message: " << e.what();
   }

@@ -12,14 +12,14 @@ class Driver {
  public:
   virtual ~Driver() = default;
 
-  /// Guarantees Site::pump() runs within `delay` from now (timer support).
+  /// Guarantees Site::pump() runs within `delay` from now: a due timer, or
+  /// (delay 0) new inbox data or freshly ready work.
   virtual void request_wakeup(Nanos delay) = 0;
 
-  /// Pump soon: new inbox data or freshly ready work.
-  virtual void notify_work() = 0;
-
-  /// True when time is virtual and execution must be serialized by the
-  /// event loop (one microthread at a time per site).
+  /// True when time is virtual. Execution is the same in every mode (one
+  /// thread runs all of a site's microthread fibers); sim mode only
+  /// charges each segment's virtual cost and holds its messages until it
+  /// virtually completes.
   [[nodiscard]] virtual bool simulated() const { return false; }
 };
 

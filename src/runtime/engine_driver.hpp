@@ -1,7 +1,7 @@
 // EngineDriver: the wall-clock Driver of the threads and TCP modes. One
 // engine thread per site pumps it whenever a timer falls due, input
-// arrives or work becomes ready. (The simulator drives its sites from the
-// event loop instead.)
+// arrives or work becomes ready, and so runs every microthread fiber of
+// the site. (The simulator drives its sites from the event loop instead.)
 #pragma once
 
 #include <atomic>
@@ -23,21 +23,26 @@ class EngineDriver final : public Driver {
   EngineDriver(const EngineDriver&) = delete;
   EngineDriver& operator=(const EngineDriver&) = delete;
 
-  void request_wakeup(Nanos delay) override {
-    (void)delay;  // the engine recomputes its sleep from Site::pump()
-    cv_.notify_all();
+  /// Pumps again as soon as the current pump returns (or at once); the
+  /// engine recomputes its sleep from Site::pump(), so `delay` is unused.
+  void request_wakeup(Nanos /*delay*/) override {
+    {
+      std::lock_guard lk(m_);
+      pending_ = true;
+    }
+    cv_.notify_one();
   }
-  void notify_work() override { cv_.notify_all(); }
 
   /// Starts the engine thread pumping `site`, which must outlive it.
   void start(Site& site);
-  /// Stops and joins the engine thread: the site is not pumped again.
-  /// Idempotent.
+  /// Stops and joins the engine thread: the site is not pumped again, and
+  /// its parked microthreads are unwound on the way out. Idempotent.
   void stop();
 
  private:
   std::mutex m_;
   std::condition_variable cv_;
+  bool pending_ = false;  // guarded by m_
   std::atomic<bool> stopping_{false};
   std::thread thread_;
 };

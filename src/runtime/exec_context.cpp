@@ -1,7 +1,5 @@
 #include "runtime/exec_context.hpp"
 
-#include <mutex>
-
 #include "runtime/site.hpp"
 
 namespace sdvm {
@@ -61,7 +59,6 @@ GlobalAddress ExecContext::spawn(std::string_view thread_name, int nparams,
     abort_thread("spawn of unknown microthread '" + std::string(thread_name) +
                  "'");
   }
-  std::lock_guard lk(site_.lock());
   return site_.memory().create_frame(info_.id, *tid,
                                      static_cast<std::size_t>(nparams),
                                      priority);
@@ -74,7 +71,6 @@ void ExecContext::send_int(GlobalAddress frame, int slot, std::int64_t value) {
 void ExecContext::send_bytes(GlobalAddress frame, int slot,
                              std::span<const std::byte> value) {
   if (slot < 0) abort_thread("negative slot");
-  std::lock_guard lk(site_.lock());
   Status st = site_.memory().apply_param(
       frame, static_cast<std::size_t>(slot),
       std::vector<std::byte>(value.begin(), value.end()));
@@ -86,95 +82,52 @@ void ExecContext::send_bytes(GlobalAddress frame, int slot,
 
 GlobalAddress ExecContext::alloc_global(std::int64_t nwords) {
   if (nwords < 0) abort_thread("negative allocation size");
-  std::lock_guard lk(site_.lock());
   return site_.memory().alloc_object(info_.id, nwords);
 }
 
+std::int64_t* ExecContext::word(GlobalAddress addr, std::int64_t index) {
+  auto w = site_.memory().word(addr, index);
+  if (!w.is_ok()) abort_thread(w.status().to_string());
+  return w.value();
+}
+
 std::int64_t ExecContext::mem_read(GlobalAddress addr, std::int64_t index) {
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    std::shared_ptr<AttractionMemory::FetchState> wait;
-    {
-      std::lock_guard lk(site_.lock());
-      auto r = site_.memory().try_read_word(addr, index, &wait);
-      if (wait == nullptr) {
-        if (!r.is_ok()) abort_thread(r.status().to_string());
-        return r.value();
-      }
-    }
-    wait->wait();
-    if (!wait->status.is_ok()) abort_thread(wait->status.to_string());
-    // Object may already have migrated away again; retry.
-  }
-  abort_thread("memory object ping-ponging, giving up");
+  return *word(addr, index);
 }
 
 void ExecContext::mem_write(GlobalAddress addr, std::int64_t index,
                             std::int64_t value) {
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    std::shared_ptr<AttractionMemory::FetchState> wait;
-    {
-      std::lock_guard lk(site_.lock());
-      Status st = site_.memory().try_write_word(addr, index, value, &wait);
-      if (wait == nullptr) {
-        if (!st.is_ok()) abort_thread(st.to_string());
-        return;
-      }
-    }
-    wait->wait();
-    if (!wait->status.is_ok()) abort_thread(wait->status.to_string());
-  }
-  abort_thread("memory object ping-ponging, giving up");
+  *word(addr, index) = value;
 }
 
 void ExecContext::out(std::int64_t value) {
-  std::lock_guard lk(site_.lock());
   site_.io().output_int(info_.id, value);
 }
 
 void ExecContext::out_str(std::string_view text) {
-  std::lock_guard lk(site_.lock());
   site_.io().output_str(info_.id, std::string(text));
 }
 
 std::string ExecContext::file_read(std::string_view path) {
-  std::shared_ptr<IoManager::IoWait> wait;
-  {
-    std::lock_guard lk(site_.lock());
-    auto r = site_.io().try_file_read(std::string(path), &wait);
-    if (wait == nullptr) {
-      if (!r.is_ok()) abort_thread("file_read: " + r.status().to_string());
-      return std::move(r).value();
-    }
-  }
-  wait->wait();
-  if (!wait->status.is_ok()) {
-    abort_thread("file_read: " + wait->status.to_string());
-  }
-  return wait->data;
+  auto r = site_.io().file_read(std::string(path));
+  if (!r.is_ok()) abort_thread("file_read: " + r.status().to_string());
+  return std::move(r).value();
 }
 
 void ExecContext::file_write(std::string_view path, std::string_view data) {
-  std::shared_ptr<IoManager::IoWait> wait;
-  {
-    std::lock_guard lk(site_.lock());
-    Status st =
-        site_.io().try_file_write(std::string(path), std::string(data), &wait);
-    if (wait == nullptr) {
-      if (!st.is_ok()) abort_thread("file_write: " + st.to_string());
-      return;
-    }
-  }
-  wait->wait();
-  if (!wait->status.is_ok()) {
-    abort_thread("file_write: " + wait->status.to_string());
-  }
+  Status st = site_.io().file_write(std::string(path), std::string(data));
+  if (!st.is_ok()) abort_thread("file_write: " + st.to_string());
 }
 
 void ExecContext::exit_program(std::int64_t code) {
   exit_requested_ = true;
   exit_code_ = code;
-  std::lock_guard lk(site_.lock());
   site_.programs().terminate(info_.id, code);
+}
+
+void ExecContext::slice_done() {
+  if (site_.driver().simulated()) return;  // virtual time needs no slices
+  if (!site_.processing().yield()) abort_thread("site stopped");
 }
 
 void ExecContext::charge(std::int64_t cycles) {

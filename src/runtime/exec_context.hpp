@@ -1,8 +1,9 @@
 // ExecContext: the concrete Context bound to one microthread execution.
 // Also implements the MicroC VM's IntrinsicHandler, so bytecode and native
-// microthreads share identical semantics. Each operation takes the site
-// lock briefly; blocking operations (remote memory, rerouted files) park
-// the calling worker thread *outside* the lock.
+// microthreads share identical semantics. Operations run on the site's
+// pump thread with the site lock already held; blocking operations (remote
+// memory, rerouted files) park the microthread's fiber until the reply is
+// dispatched.
 #pragma once
 
 #include <vector>
@@ -91,8 +92,12 @@ class ExecContext final : public Context, public microc::IntrinsicHandler {
   std::int64_t num_args() override {
     return std::as_const(*this).num_args();
   }
+  /// A long bytecode microthread lets its site's pump run (heartbeats,
+  /// replies, other microthreads) once per VM slice on wall clock.
+  void slice_done() override;
 
-  /// Sim-mode outgoing messages, buffered until virtual completion.
+  /// Sim-mode outgoing messages, buffered until the running segment
+  /// virtually completes.
   std::vector<SdMessage> deferred;
 
   [[nodiscard]] std::int64_t charged_cycles() const { return charged_; }
@@ -102,6 +107,9 @@ class ExecContext final : public Context, public microc::IntrinsicHandler {
   [[nodiscard]] const ProgramInfo& info() const { return info_; }
 
  private:
+  /// The word, attracted here (aborts the microthread if it cannot be).
+  std::int64_t* word(GlobalAddress addr, std::int64_t index);
+
   Site& site_;
   Microframe frame_;
   ProgramInfo info_;

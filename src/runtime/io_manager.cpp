@@ -119,49 +119,28 @@ std::pair<SiteId, std::string> IoManager::parse_path(
   return {site_.id(), path};
 }
 
-Result<std::string> IoManager::try_file_read(const std::string& path,
-                                             std::shared_ptr<IoWait>* wait) {
+Result<std::string> IoManager::file_read(const std::string& path) {
   auto [owner, rest] = parse_path(path);
   owner = site_.cluster().resolve_successor(owner);
   if (owner == site_.id()) return vfs_get(rest);
 
   ++rerouted_reads_;
-  if (sim_file_) {
-    auto r = sim_file_(owner, rest, /*write=*/false, {});
-    site_.memory().add_sim_stall(r.stall);
-    if (!r.status.is_ok()) return r.status;
-    return r.data;
-  }
-  auto cell = std::make_shared<IoWait>();
-  *wait = cell;
   ByteWriter w;
   w.str(rest);
-  SdMessage req;
-  req.dst = owner;
-  req.src_mgr = req.dst_mgr = ManagerId::kIo;
-  req.type = MsgType::kFileRead;
-  req.payload = w.take();
-  (void)site_.messages().request(req, [cell](Result<SdMessage> r) {
-    if (!r.is_ok()) {
-      cell->signal(r.status());
-      return;
-    }
-    try {
-      ByteReader rd(r.value().payload);
-      bool ok = rd.boolean();
-      std::string data = rd.str();
-      cell->signal(ok ? Status::ok()
-                      : Status::error(ErrorCode::kNotFound, data),
-                   ok ? std::move(data) : std::string{});
-    } catch (const DecodeError& e) {
-      cell->signal(Status::error(ErrorCode::kCorrupt, e.what()));
-    }
-  });
-  return Status::error(ErrorCode::kUnavailable, "read in progress");
+  auto reply = reroute(owner, MsgType::kFileRead, w.take());
+  if (!reply.is_ok()) return reply.status();
+  try {
+    ByteReader rd(reply.value().payload);
+    bool ok = rd.boolean();
+    std::string data = rd.str();
+    if (!ok) return Status::error(ErrorCode::kNotFound, data);
+    return data;
+  } catch (const DecodeError& e) {
+    return Status::error(ErrorCode::kCorrupt, e.what());
+  }
 }
 
-Status IoManager::try_file_write(const std::string& path, std::string data,
-                                 std::shared_ptr<IoWait>* wait) {
+Status IoManager::file_write(const std::string& path, std::string data) {
   auto [owner, rest] = parse_path(path);
   owner = site_.cluster().resolve_successor(owner);
   if (owner == site_.id()) {
@@ -170,25 +149,35 @@ Status IoManager::try_file_write(const std::string& path, std::string data,
   }
 
   ++rerouted_writes_;
-  if (sim_file_) {
-    auto r = sim_file_(owner, rest, /*write=*/true, std::move(data));
-    site_.memory().add_sim_stall(r.stall);
-    return r.status;
-  }
-  auto cell = std::make_shared<IoWait>();
-  *wait = cell;
   ByteWriter w;
   w.str(rest);
   w.str(data);
+  auto ack = reroute(owner, MsgType::kFileWrite, w.take());
+  return ack.is_ok() ? Status::ok() : ack.status();
+}
+
+Result<SdMessage> IoManager::reroute(SiteId owner, MsgType type,
+                                     std::vector<std::byte> payload) {
+  // The microthread parks until the owner's reply has been dispatched.
+  struct Reply : ProcessingManager::ParkCell {
+    SdMessage msg;
+  };
+  auto cell = std::make_shared<Reply>();
   SdMessage req;
   req.dst = owner;
   req.src_mgr = req.dst_mgr = ManagerId::kIo;
-  req.type = MsgType::kFileWrite;
-  req.payload = w.take();
+  req.type = type;
+  req.payload = std::move(payload);
   (void)site_.messages().request(req, [cell](Result<SdMessage> r) {
-    cell->signal(r.is_ok() ? Status::ok() : r.status());
+    if (!r.is_ok()) {
+      cell->signal(r.status());
+      return;
+    }
+    cell->msg = std::move(r).value();
+    cell->signal(Status::ok());
   });
-  return Status::error(ErrorCode::kUnavailable, "write in progress");
+  if (Status st = site_.processing().park(*cell); !st.is_ok()) return st;
+  return std::move(cell->msg);
 }
 
 void IoManager::handle(const SdMessage& msg) {

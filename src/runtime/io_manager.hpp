@@ -8,12 +8,10 @@
 // "@<site>/rest" address another site's VFS explicitly.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -21,6 +19,7 @@
 #include "runtime/checkpoint_store.hpp"
 #include "runtime/message.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/processing_manager.hpp"
 
 namespace sdvm {
 
@@ -53,50 +52,11 @@ class IoManager {
   void vfs_put(const std::string& path, std::string data);
   [[nodiscard]] Result<std::string> vfs_get(const std::string& path) const;
 
-  /// Wait cell for rerouted file access; the worker parks on it outside
-  /// the site lock (same pattern as attraction-memory fetches).
-  struct IoWait {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-    std::string data;
-
-    void wait() {
-      std::unique_lock lk(m);
-      cv.wait(lk, [this] { return done; });
-    }
-    void signal(Status st, std::string d = {}) {
-      {
-        std::lock_guard lk(m);
-        done = true;
-        status = std::move(st);
-        data = std::move(d);
-      }
-      cv.notify_all();
-    }
-  };
-
-  /// File access from a microthread, called under the site lock.
-  /// "@<site>/path" reroutes to that site; plain paths are local. When the
-  /// target is remote, *wait is set and the caller parks on it.
-  Result<std::string> try_file_read(const std::string& path,
-                                    std::shared_ptr<IoWait>* wait);
-  Status try_file_write(const std::string& path, std::string data,
-                        std::shared_ptr<IoWait>* wait);
-
-  /// Sim-mode oracle: resolves remote file access synchronously against
-  /// the owner's VFS (the simulator has the global view) and returns the
-  /// modeled stall, which is charged to the running microthread. Without
-  /// it, a remote access would park the one simulator thread forever.
-  struct SimFileResult {
-    Status status;
-    std::string data;
-    Nanos stall = 0;
-  };
-  using SimFileHook = std::function<SimFileResult(
-      SiteId owner, const std::string& path, bool write, std::string data)>;
-  void set_sim_file_hook(SimFileHook hook) { sim_file_ = std::move(hook); }
+  /// File access from a running microthread. "@<site>/path" reroutes to
+  /// that site, parking the microthread until the reply lands; plain paths
+  /// are local.
+  Result<std::string> file_read(const std::string& path);
+  Status file_write(const std::string& path, std::string data);
 
   void handle(const SdMessage& msg);
   void drop_program(ProgramId pid);
@@ -115,12 +75,14 @@ class IoManager {
   [[nodiscard]] std::pair<SiteId, std::string> parse_path(
       const std::string& path) const;
   void deliver_output(ProgramId pid, std::string line);
+  /// Sends a file request to `owner` and parks until its reply.
+  Result<SdMessage> reroute(SiteId owner, MsgType type,
+                            std::vector<std::byte> payload);
 
   Site& site_;
   std::map<ProgramId, std::vector<IoRecord>> outputs_;
   std::map<std::string, std::string> vfs_;
   OutputCallback callback_;
-  SimFileHook sim_file_;
 };
 
 }  // namespace sdvm

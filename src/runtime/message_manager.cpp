@@ -63,12 +63,14 @@ Status MessageManager::send_burst(std::vector<SdMessage> msgs) {
     auto addr = site_.cluster().physical_address(msg.dst);
     if (!addr.is_ok()) {
       if (first.is_ok()) first = addr.status();
+      fail_request(msg.seq, addr.status());
       continue;
     }
     if (site_.transport() == nullptr) {
-      if (first.is_ok()) {
-        first = Status::error(ErrorCode::kFailedPrecondition, "no transport");
-      }
+      Status st =
+          Status::error(ErrorCode::kFailedPrecondition, "no transport");
+      if (first.is_ok()) first = st;
+      fail_request(msg.seq, st);
       continue;
     }
     count_sent(msg.type);
@@ -101,11 +103,13 @@ Status MessageManager::request(SdMessage msg, ReplyHandler on_reply) {
     return Status::ok();
   }
   Status st = transmit(std::move(msg));
-  if (!st.is_ok()) {
-    auto node = pending_.extract(seq);
-    if (!node.empty()) node.mapped().handler(st);
-  }
+  if (!st.is_ok()) fail_request(seq, st);
   return st;
+}
+
+void MessageManager::fail_request(std::uint64_t seq, const Status& st) {
+  auto node = pending_.extract(seq);
+  if (!node.empty()) node.mapped().handler(st);
 }
 
 Status MessageManager::respond(const SdMessage& request, SdMessage msg) {

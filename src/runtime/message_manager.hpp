@@ -58,11 +58,10 @@ class MessageManager {
   /// Fails every pending request addressed to a site now believed dead.
   void fail_pending_to(SiteId dead);
 
-  /// Sim mode: while a microthread executes, non-loopback sends are
-  /// buffered here and released at the thread's virtual completion time.
+  /// Sim mode: while a microthread segment runs, its sends are buffered
+  /// here and released at the segment's virtual completion time.
   void set_defer(std::vector<SdMessage>* buffer) { defer_ = buffer; }
   [[nodiscard]] bool defer_active() const { return defer_ != nullptr; }
-  Status transmit_deferred(SdMessage msg) { return transmit(std::move(msg)); }
 
   [[nodiscard]] std::uint64_t next_seq() { return ++seq_; }
 
@@ -80,6 +79,8 @@ class MessageManager {
 
   Status transmit(SdMessage msg);
   void deliver(const SdMessage& msg);
+  /// Fails the pending request `seq` (if any) with `st`: it never left.
+  void fail_request(std::uint64_t seq, const Status& st);
 
   static constexpr std::size_t kTypeSlots = 128;
   void count_sent(MsgType t) {

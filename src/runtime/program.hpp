@@ -24,9 +24,10 @@ namespace sdvm {
 
 class Context;
 
-/// Native microthread body. Runs to completion, uninterrupted; all SDVM
-/// interaction goes through the Context ("the only interface between the
-/// program running on the SDVM and the SDVM itself").
+/// Native microthread body. Runs on its site's fiber and parks only inside
+/// Context calls that wait for another site; all SDVM interaction goes
+/// through the Context ("the only interface between the program running on
+/// the SDVM and the SDVM itself").
 using NativeFn = std::function<void(Context&)>;
 
 /// What the programmer writes: the partitioning of the application into

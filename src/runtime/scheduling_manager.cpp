@@ -98,8 +98,7 @@ void SchedulingManager::on_code_ready(FrameId id, Result<Executable> exec) {
   executable_.erase(it);
   site_.trace(FrameEvent::kBecameReady, work.frame.id, work.frame.thread);
   ready_.push_back(std::move(work));
-  site_.processing().kick();
-  site_.driver().notify_work();
+  site_.driver().request_wakeup(0);
 }
 
 std::optional<ReadyWork> SchedulingManager::take_ready() {

@@ -33,8 +33,6 @@ Site::Site(SiteConfig config, Clock& clock, Driver& driver)
   }
 }
 
-Site::~Site() { processing_mgr_->stop(); }
-
 void Site::attach_transport(std::unique_ptr<net::Transport> transport) {
   transport_ = std::move(transport);
 }
@@ -51,9 +49,6 @@ void Site::bootstrap() {
   cluster_mgr_->bootstrap();
   security_mgr_->set_local_site(cluster_mgr_->local_id());
   attraction_memory_->on_membership_change();
-  if (!driver_.simulated()) {
-    processing_mgr_->start_workers(config_.executor_slots);
-  }
   bootstrap_tick();
   // A freshly bootstrapped site may be a cold restart: its state store
   // can hold programs the (dead) previous cluster never finished.
@@ -62,9 +57,6 @@ void Site::bootstrap() {
 
 void Site::join(const std::string& contact_address) {
   std::lock_guard lock(mu_);
-  if (!driver_.simulated()) {
-    processing_mgr_->start_workers(config_.executor_slots);
-  }
   cluster_mgr_->join(contact_address, [this](Status st) {
     if (!st.is_ok()) {
       SDVM_ERROR(tag()) << "join failed: " << st.to_string();
@@ -90,22 +82,29 @@ bool Site::joined() const {
 
 Result<SiteId> Site::sign_off() {
   std::lock_guard lock(mu_);
-  if (signed_off_) {
+  if (signed_off_ || leaving_to_.has_value()) {
     return Status::error(ErrorCode::kFailedPrecondition, "already signed off");
   }
-  auto successor = cluster_mgr_->pick_any_other();
-  if (successor.has_value()) {
+  leaving_to_ = cluster_mgr_->pick_any_other().value_or(kInvalidSite);
+  const SiteId successor = *leaving_to_;
+  finish_sign_off();
+  return successor;
+}
+
+void Site::finish_sign_off() {
+  if (!leaving_to_.has_value() || !processing_mgr_->idle()) return;
+  const SiteId successor = *std::exchange(leaving_to_, std::nullopt);
+  if (successor != kInvalidSite) {
     // "All microframes and the local part of the global memory have to be
     // relocated to other sites before shutdown."
-    attraction_memory_->relocate_all_to(*successor);
-    cluster_mgr_->announce_sign_off(*successor);
+    attraction_memory_->relocate_all_to(successor);
+    cluster_mgr_->announce_sign_off(successor);
   }
   signed_off_ = true;
   SDVM_INFO(tag()) << "signed off"
-                   << (successor ? ", successor site " +
-                                       std::to_string(*successor)
-                                 : " (last site)");
-  return successor.value_or(kInvalidSite);
+                   << (successor != kInvalidSite
+                           ? ", successor site " + std::to_string(successor)
+                           : " (last site)");
 }
 
 void Site::on_network_data(std::vector<std::byte> bytes) {
@@ -113,7 +112,7 @@ void Site::on_network_data(std::vector<std::byte> bytes) {
     std::lock_guard lock(inbox_mu_);
     inbox_.push_back(std::move(bytes));
   }
-  driver_.notify_work();
+  driver_.request_wakeup(0);
 }
 
 Nanos Site::pump() {
@@ -146,20 +145,18 @@ Nanos Site::pump() {
   }
 
   if (!signed_off_) {
-    if (driver_.simulated()) {
-      // One microthread at a time per site; virtual cost marks us busy.
-      if (now >= sim_busy_until_ && !processing_mgr_->frozen()) {
-        Nanos cost = processing_mgr_->execute_once();
-        if (cost >= 0) {
-          sim_busy_until_ = now + cost;
-          // Pump again the moment the virtual execution completes, so the
-          // next ready frame starts back-to-back.
-          driver_.request_wakeup(cost);
-        }
+    // One microthread segment per pump; in sim mode its virtual cost marks
+    // the site busy (on wall clock the cost is 0).
+    if (now >= sim_busy_until_) {
+      Nanos cost = processing_mgr_->execute_once(!leaving_to_.has_value());
+      if (cost >= 0) {
+        sim_busy_until_ = now + cost;
+        // Pump again the moment the segment completes, so the next one
+        // starts back-to-back.
+        driver_.request_wakeup(cost);
       }
-    } else {
-      processing_mgr_->kick();
     }
+    finish_sign_off();
     check_starvation();
   }
 
@@ -244,7 +241,9 @@ void Site::on_site_dead(SiteId dead) {
 }
 
 void Site::check_starvation() {
-  if (signed_off_ || !cluster_mgr_->joined()) return;
+  if (signed_off_ || leaving_to_.has_value() || !cluster_mgr_->joined()) {
+    return;
+  }
   if (scheduling_mgr_->frozen()) return;
   if (scheduling_mgr_->queued_total() > 0) return;
   if (!processing_mgr_->idle()) return;

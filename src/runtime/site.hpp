@@ -2,19 +2,26 @@
 // plus the plumbing between them (inbox, timers, the big site lock).
 //
 // Threading model:
-//   * `mu_` (recursive) guards all manager state. Public entry points and
-//     Context operations take it; manager-internal code never locks.
+//   * pump() is the single place work happens: it drains the inbox, runs
+//     due timers, runs microthreads and triggers scheduling decisions. A
+//     Driver decides when pump runs: the site's engine thread in the
+//     threads and TCP modes, a simulator event in sim mode.
+//   * One thread runs every microthread of the site, in every mode: each
+//     on its own fiber inside pump(), up to `executor_slots` alive at once.
+//     A microthread waiting for remote memory or a rerouted file parks its
+//     fiber; pump() resumes it once the reply has been dispatched.
+//   * `mu_` (recursive) guards all manager state. pump() and the public
+//     entry points take it; microthreads run with it held, and
+//     manager-internal code never locks.
 //   * The inbox has its own mutex and is never held together with `mu_`,
 //     so sites can send to each other without lock cycles.
-//   * pump() is the single place work happens: it drains the inbox, runs
-//     due timers, triggers scheduling decisions and (sim mode) executes.
-//     A Driver decides when pump runs (engine thread or simulator event).
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -43,7 +50,6 @@ namespace sdvm {
 class Site {
  public:
   Site(SiteConfig config, Clock& clock, Driver& driver);
-  ~Site();
 
   Site(const Site&) = delete;
   Site& operator=(const Site&) = delete;
@@ -70,7 +76,9 @@ class Site {
   void join(const std::string& contact_address);
   [[nodiscard]] bool joined() const;
   /// Graceful sign-off: relocates frames and memory to a successor, then
-  /// announces departure. Returns the successor id.
+  /// announces departure. Returns the successor id. Microthreads parked
+  /// here first finish (no new one starts), so the relocation may
+  /// complete in a later pump.
   Result<SiteId> sign_off();
   [[nodiscard]] bool signed_off() const { return signed_off_; }
 
@@ -89,7 +97,7 @@ class Site {
   void sim_charge(Nanos cost);
   [[nodiscard]] Nanos sim_busy_until() const { return sim_busy_until_; }
 
-  /// True when no microthread is running and (sim mode) all virtually
+  /// True when no microthread is alive and (sim mode) all virtually
   /// in-flight results have left the site — the checkpoint quiescence test.
   [[nodiscard]] bool execution_quiesced() const;
 
@@ -127,8 +135,8 @@ class Site {
   [[nodiscard]] SiteId id() const;
   [[nodiscard]] std::string tag() const;  // log tag "site-<id>"
 
-  /// The big site lock. Context operations and public APIs lock it;
-  /// recursive so the sim path (pump → execute → context op) re-enters.
+  /// The big site lock. pump() and the public APIs lock it; recursive so
+  /// a public entry point called from a timer or a microthread re-enters.
   [[nodiscard]] std::recursive_mutex& lock() { return mu_; }
 
   /// Dispatches a decoded message to the addressed manager. Called by the
@@ -154,6 +162,8 @@ class Site {
   /// Arms the periodic maintenance tick (heartbeats, failure detection,
   /// gossip, checkpoints, starvation checks).
   void bootstrap_tick();
+  /// Completes a pending sign-off once no microthread is alive here.
+  void finish_sign_off();
 
   SiteConfig config_;
   Clock& clock_;
@@ -179,6 +189,9 @@ class Site {
 
   Nanos sim_busy_until_ = 0;
   bool signed_off_ = false;
+  // Set while a sign-off waits for alive microthreads (kInvalidSite: no
+  // successor, the last site leaves).
+  std::optional<SiteId> leaving_to_;
   bool tick_scheduled_ = false;
   FrameTraceHook trace_;
 

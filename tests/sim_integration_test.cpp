@@ -183,10 +183,50 @@ TEST(SimMemoryTest, ObjectsMigrateBetweenSites) {
   ASSERT_TRUE(pid.is_ok());
   ASSERT_TRUE(cluster.run_program(pid.value(), 600 * kNanosPerSecond).is_ok());
   std::uint64_t migrations = 0;
+  std::uint64_t requests = 0;
+  std::uint64_t grants = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     migrations += testing_util::counter(cluster.site(i), "mem.migrations_in");
+    requests +=
+        testing_util::counter(cluster.site(i), "msg.sent.object-request");
+    grants += testing_util::counter(cluster.site(i), "msg.sent.object-grant");
   }
   EXPECT_GT(migrations, 0u) << "COMA migration never happened";
+  // The objects travelled by the real request/grant protocol.
+  EXPECT_GT(requests, 0u);
+  EXPECT_GT(grants, 0u);
+}
+
+TEST(SimMemoryTest, MatmulSurvivesSignOffDuringFetches) {
+  SimCluster cluster;
+  SiteConfig cfg;
+  cfg.help_retry_interval = 50'000;  // spread the blocks early
+  cluster.add_sites(3, 1.0, cfg);
+  apps::MatmulParams params;
+  params.n = 16;
+  params.block_rows = 2;
+  auto pid = cluster.start_program(apps::make_matmul_program(params));
+  ASSERT_TRUE(pid.is_ok());
+  // Run until a microthread on the non-home site 3 waits for an object,
+  // then sign that site off: relocation races live fetches.
+  Site& leaver = cluster.site(2);
+  for (int i = 0; i < 100'000 && leaver.processing().idle(); ++i) {
+    cluster.loop().run_for(10'000);
+  }
+  ASSERT_FALSE(leaver.processing().idle()) << "no fetch was ever in flight";
+  ASSERT_TRUE(cluster.sign_off(2).is_ok());
+
+  auto code = cluster.run_program(pid.value(), 600 * kNanosPerSecond);
+  ASSERT_TRUE(code.is_ok()) << code.status().to_string();
+  EXPECT_TRUE(leaver.signed_off());
+  auto ref = apps::matmul_reference(params.n);
+  std::int64_t expected = 0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    expected += ref[i] * (static_cast<std::int64_t>(i) % 13 + 1);
+  }
+  auto out = cluster.outputs(0, pid.value());
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.back(), std::to_string(expected));
 }
 
 TEST(SimFibTest, RecursiveDataflowCorrect) {
@@ -441,6 +481,66 @@ TEST(SimIoTest, RemoteFileAccessRerouted) {
   auto stored = cluster.site(1).io().vfs_get("result.txt");
   ASSERT_TRUE(stored.is_ok());
   EXPECT_EQ(stored.value(), "stored");
+  // Both accesses crossed the network as file-read/file-write messages.
+  EXPECT_EQ(testing_util::counter(cluster.site(0), "msg.sent.file-read"), 1u);
+  EXPECT_EQ(testing_util::counter(cluster.site(0), "msg.sent.file-write"),
+            1u);
+}
+
+// Experiment P5 (paper §4): 48 tasks each read a file rerouted to site 2
+// over 1 ms links, then compute 30 us. More executor slots overlap the
+// stalls, so the virtual makespan falls. bench/ablation_slots prints the
+// full table for the same workload.
+Nanos io_stall_makespan(int slots) {
+  constexpr int kTasks = 48;
+  SimCluster::Options options;
+  options.link.latency = 1'000'000;
+  SimCluster cluster(options);
+  SiteConfig cfg;
+  cfg.executor_slots = slots;
+  cfg.help_retry_interval = 500'000;
+  cluster.add_sites(2, 1.0, cfg);
+  cluster.site(1).io().vfs_put("shared.dat", std::string(512, 'x'));
+  auto spec =
+      ProgramBuilder("io-stall")
+          .native_thread("entry",
+                         [](Context& ctx) {
+                           GlobalAddress done = ctx.spawn("done", kTasks);
+                           for (int i = 0; i < kTasks; ++i) {
+                             GlobalAddress t = ctx.spawn("task", 2);
+                             ctx.send_int(t, 0, static_cast<std::int64_t>(
+                                                    done.value));
+                             ctx.send_int(t, 1, i);
+                           }
+                         })
+          .native_thread("task",
+                         [](Context& ctx) {
+                           std::string blob = ctx.file_read("@2/shared.dat");
+                           ctx.charge(30'000);
+                           ctx.send_int(
+                               GlobalAddress{static_cast<std::uint64_t>(
+                                   ctx.param_int(0))},
+                               static_cast<int>(ctx.param_int(1)),
+                               static_cast<std::int64_t>(blob.size()));
+                         })
+          .native_thread("done", [](Context& ctx) { ctx.exit_program(0); })
+          .entry("entry")
+          .build();
+  const Nanos start = cluster.now();
+  auto pid = cluster.start_program(spec);
+  EXPECT_TRUE(pid.is_ok());
+  EXPECT_TRUE(cluster.run_program(pid.value(), 60 * kNanosPerSecond).is_ok());
+  return cluster.now() - start;
+}
+
+TEST(SimIoTest, ExecutorSlotsHideRemoteFileLatency) {
+  const Nanos one = io_stall_makespan(1);
+  const Nanos two = io_stall_makespan(2);
+  const Nanos five = io_stall_makespan(5);
+  EXPECT_LT(two, one);
+  EXPECT_LT(five, two);
+  EXPECT_GE(static_cast<double>(one) / static_cast<double>(five), 1.5)
+      << "1 slot " << one << " ns, 5 slots " << five << " ns";
 }
 
 TEST(SimSecurityTest, EncryptedClusterRuns) {
