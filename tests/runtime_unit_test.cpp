@@ -2,7 +2,10 @@
 // don't need a full cluster: microframes, SDMessages, the security
 // manager's wire format, program info, id allocation strategies.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <iterator>
 #include <random>
 #include <set>
@@ -197,6 +200,70 @@ TEST(SecurityManagerTest, ShortFrameRejected) {
   SiteConfig cfg;
   SecurityManager a(cfg);
   EXPECT_FALSE(a.unprotect(std::vector<std::byte>(4)).is_ok());
+}
+
+/// Protects sample_message() as `src` -> `dst` in a forked child with a
+/// fresh manager, the way one daemon seals its first message, and returns
+/// the wire frame. Every child starts from the same parent state.
+std::vector<std::byte> protect_in_child(SiteId src, SiteId dst) {
+  int fds[2];
+  if (pipe(fds) != 0) return {};
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    SiteConfig cfg;
+    cfg.encrypt = true;
+    cfg.cluster_password = "pw";
+    SecurityManager m(cfg);
+    m.set_local_site(src);
+    SdMessage msg = sample_message();
+    msg.src = src;
+    msg.dst = dst;
+    const auto wire = m.protect(msg);
+    const bool ok = write(fds[1], wire.data(), wire.size()) ==
+                    static_cast<ssize_t>(wire.size());
+    _exit(ok ? 0 : 1);
+  }
+  close(fds[1]);
+  std::vector<std::byte> wire;
+  std::byte buf[256];
+  ssize_t n;
+  while ((n = read(fds[0], buf, sizeof(buf))) > 0) {
+    wire.insert(wire.end(), buf, buf + n);
+  }
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  return wire;
+}
+
+TEST(SecurityManagerTest, OppositeDirectionsNeverShareKeystream) {
+  // Two daemons each seal their first message, with the same body, to the
+  // other. Equal ciphertexts would mean a reused ChaCha20 keystream.
+  const auto a_to_b = protect_in_child(1, 2);
+  const auto b_to_a = protect_in_child(2, 1);
+  constexpr std::size_t kHeader = 10, kNonce = 12, kTag = 16;
+  ASSERT_GT(a_to_b.size(), kHeader + kNonce + kTag);
+  ASSERT_EQ(a_to_b.size(), b_to_a.size());
+  const auto ciphertext = [&](const std::vector<std::byte>& wire) {
+    return std::vector<std::byte>(
+        wire.begin() + static_cast<std::ptrdiff_t>(kHeader + kNonce),
+        wire.end() - static_cast<std::ptrdiff_t>(kTag));
+  };
+  EXPECT_NE(ciphertext(a_to_b), ciphertext(b_to_a));
+}
+
+TEST(SecurityManagerTest, ReflectedFrameRejected) {
+  // A's frame to B, with src and dst swapped, replayed back at A.
+  SiteConfig cfg;
+  cfg.encrypt = true;
+  cfg.cluster_password = "pw";
+  SecurityManager a(cfg);
+  a.set_local_site(1);
+  auto wire = a.protect(sample_message());
+  std::swap_ranges(wire.begin() + 2, wire.begin() + 6, wire.begin() + 6);
+  EXPECT_FALSE(a.unprotect(wire).is_ok());
+  EXPECT_EQ(security_counter(a, "sec.rejected"), 1u);
 }
 
 TEST(ProgramInfoTest, RoundTripAndLookup) {
