@@ -52,7 +52,7 @@ Obs run(bool encrypt) {
 }  // namespace
 
 int main() {
-  std::printf("A3: security manager on/off (3 sites, primes p=150, threads "
+  std::printf("A3: security manager on/off (3 sites, primes p=300, threads "
               "mode)\n");
   // Warm up allocator/threads once so the comparison is fair.
   (void)run(false);
@@ -69,7 +69,7 @@ int main() {
               static_cast<unsigned long long>(sealed.sealed),
               static_cast<unsigned long long>(sealed.bytes));
   std::printf("\nencryption cost: %+.1f%% wall time, %+.1f%% wire bytes "
-              "(nonce+MAC per message)\n",
+              "(nonce+tag per message)\n",
               (sealed.seconds / plain.seconds - 1.0) * 100.0,
               (static_cast<double>(sealed.bytes) /
                    static_cast<double>(plain.bytes) -

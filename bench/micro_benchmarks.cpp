@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the SDVM's hot paths: crypto
-// throughput (link encryption cost per byte), SDMessage and microframe
-// serialization, MicroC compile + dispatch rate, and the in-process
-// fabric. These quantify the constants behind the table benches.
+// throughput (link encryption and authentication cost per byte), SDMessage
+// and microframe serialization, MicroC compile + dispatch rate, and the
+// in-process fabric. These quantify the constants behind the table benches.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 
 #include "crypto/cipher.hpp"
+#include "crypto/poly1305.hpp"
 #include "crypto/sha256.hpp"
 #include "microc/compiler.hpp"
 #include "microc/vm.hpp"
@@ -42,12 +43,32 @@ void BM_ChaCha20(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaCha20)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_SealOpen(benchmark::State& state) {
-  auto key = crypto::derive_pair_key(crypto::derive_master_key("pw"), 1, 2);
-  std::vector<std::byte> plain(static_cast<std::size_t>(state.range(0)));
+void BM_Poly1305(benchmark::State& state) {
+  crypto::Poly1305::Key key{};
+  key[0] = 1;
+  std::vector<std::byte> data(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto sealed = crypto::seal(key, 1, plain);
-    auto opened = crypto::open(key, sealed);
+    auto tag = crypto::Poly1305::mac(key, data);
+    benchmark::DoNotOptimize(tag);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Poly1305)->Arg(64)->Arg(1024)->Arg(16384);
+
+// One ChaCha20-Poly1305 seal and open with the security manager's 10-byte
+// header as associated data.
+void BM_SealOpen(benchmark::State& state) {
+  auto key =
+      crypto::derive_direction_key(crypto::derive_master_key("pw"), 1, 2);
+  const std::vector<std::byte> header(10);
+  std::vector<std::byte> plain(static_cast<std::size_t>(state.range(0)));
+  crypto::ChaCha20::Nonce nonce{};
+  std::uint64_t count = 0;
+  for (auto _ : state) {
+    std::memcpy(nonce.data() + 4, &++count, sizeof(count));
+    auto sealed = crypto::seal(key, nonce, header, plain);
+    auto opened = crypto::open(key, header, sealed);
     benchmark::DoNotOptimize(opened);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,5 +1,6 @@
 // SHA-256 (FIPS 180-4), implemented from scratch for the security manager's
-// key derivation and message authentication. Validated against NIST vectors
+// key derivation (HMAC-SHA256, once per peer direction; messages are
+// authenticated with Poly1305). Validated against NIST vectors
 // in tests/crypto_test.cpp.
 #pragma once
 

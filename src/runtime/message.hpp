@@ -4,9 +4,10 @@
 // information and the payload data itself" (paper §4).
 //
 // Wire layout: [version u8 | flags u8 | src u32 | dst u32 | body]. When the
-// security manager is active the body is sealed (ChaCha20 + MAC) with the
-// pair key of {src, dst}; src/dst stay cleartext so the receiver can select
-// the key — exactly the structure of Figure 6.
+// security manager is active the body is sealed (ChaCha20-Poly1305) with the
+// key of the direction src -> dst; src/dst stay cleartext, authenticated
+// with the body, so the receiver can select the key — exactly the
+// structure of Figure 6.
 #pragma once
 
 #include <cstdint>

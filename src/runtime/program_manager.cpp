@@ -63,8 +63,14 @@ Result<ProgramId> ProgramManager::start_program(const ProgramSpec& spec) {
   return info.id;
 }
 
+void ProgramManager::store_info(ProgramId pid, const ProgramInfo& info) {
+  if (infos_.insert_or_assign(pid, info).second && !terminated_.contains(pid)) {
+    ++active_;
+  }
+}
+
 void ProgramManager::register_info(const ProgramInfo& info) {
-  infos_[info.id] = info;
+  store_info(info.id, info);
   auto waiting = info_pending_.extract(info.id);
   if (!waiting.empty()) {
     for (auto& cb : waiting.mapped()) cb(Status::ok());
@@ -108,7 +114,7 @@ void ProgramManager::ensure_known(ProgramId pid, SiteId hint,
       }
       return;
     }
-    infos_[pid] = info.value();
+    store_info(pid, info.value());
     if (!waiting.empty()) {
       for (auto& w : waiting.mapped()) w(Status::ok());
     }
@@ -152,6 +158,7 @@ void ProgramManager::terminate(ProgramId pid, std::int64_t exit_code) {
 void ProgramManager::local_terminate(ProgramId pid, std::int64_t exit_code) {
   if (terminated_.contains(pid)) return;
   terminated_[pid] = exit_code;
+  if (infos_.contains(pid)) --active_;
   site_.drop_program_everywhere(pid);
   auto waiting = waiters_.extract(pid);
   if (!waiting.empty()) {

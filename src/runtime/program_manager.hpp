@@ -48,6 +48,9 @@ class ProgramManager {
   void add_waiter(ProgramId pid, std::function<void(std::int64_t)> cb);
 
   [[nodiscard]] std::vector<ProgramId> active_programs() const;
+  /// active_programs().size() in O(1): known programs not yet terminated.
+  [[nodiscard]] std::size_t active_count() const { return active_; }
+  [[nodiscard]] bool has_active() const { return active_ > 0; }
   [[nodiscard]] std::size_t program_count() const { return infos_.size(); }
 
   /// Every program that finished on this site, with its exit code
@@ -61,11 +64,15 @@ class ProgramManager {
 
  private:
   void local_terminate(ProgramId pid, std::int64_t exit_code);
+  void store_info(ProgramId pid, const ProgramInfo& info);
 
   Site& site_;
   std::uint32_t next_counter_ = 1;
   std::map<ProgramId, ProgramInfo> infos_;
+  // A site can learn of a termination before (or without) the program's
+  // info, so terminated_ is not a subset of infos_.
   std::map<ProgramId, std::int64_t> terminated_;
+  std::size_t active_ = 0;  // |infos_ \ terminated_|
   std::map<ProgramId, std::vector<std::function<void(std::int64_t)>>> waiters_;
   std::map<ProgramId, std::vector<std::function<void(Status)>>> info_pending_;
 };

@@ -1,10 +1,24 @@
 #include "runtime/security_manager.hpp"
 
+#include <cstring>
+#include <random>
+
 namespace sdvm {
+
+namespace {
+
+constexpr std::size_t kHeader = 1 + 1 + 4 + 4;
+
+std::uint64_t direction_id(SiteId src, SiteId dst) {
+  return (std::uint64_t{src} << 32) | dst;
+}
+
+}  // namespace
 
 SecurityManager::SecurityManager(const SiteConfig& config)
     : enabled_(config.encrypt),
-      master_(crypto::derive_master_key(config.cluster_password)) {}
+      master_(crypto::derive_master_key(config.cluster_password)),
+      salt_(std::random_device{}()) {}
 
 void SecurityManager::register_metrics(metrics::MetricsRegistry& registry) {
   registry.register_counter("sec.sealed", &sealed_);
@@ -12,37 +26,57 @@ void SecurityManager::register_metrics(metrics::MetricsRegistry& registry) {
   registry.register_counter("sec.rejected", &rejected_);
 }
 
-const crypto::ChaCha20::Key& SecurityManager::pair_key(SiteId a, SiteId b) {
-  if (a > b) std::swap(a, b);
-  std::uint64_t key = (std::uint64_t{a} << 32) | b;
-  auto it = pair_keys_.find(key);
-  if (it == pair_keys_.end()) {
-    it = pair_keys_.emplace(key, crypto::derive_pair_key(master_, a, b)).first;
+SecurityManager::Direction& SecurityManager::direction(SiteId src,
+                                                       SiteId dst) {
+  const std::uint64_t id = direction_id(src, dst);
+  auto it = directions_.find(id);
+  if (it == directions_.end()) {
+    it = directions_
+             .emplace(id, Direction{crypto::derive_direction_key(master_, src,
+                                                                 dst)})
+             .first;
   }
   return it->second;
 }
 
 std::vector<std::byte> SecurityManager::protect(const SdMessage& msg) {
-  std::vector<std::byte> body = msg.serialize_body();
+  const std::vector<std::byte> body = msg.serialize_body();
 
-  ByteWriter w;
-  w.u8(kVersion);
-  w.u8(enabled_ ? kFlagSealed : 0);
-  w.site(msg.src);
-  w.site(msg.dst);
-  if (enabled_) {
-    ++sealed_;
-    auto sealed =
-        crypto::seal(pair_key(msg.src, msg.dst), ++nonce_seed_, body);
-    w.raw(sealed.data(), sealed.size());
-  } else {
-    w.raw(body.data(), body.size());
+  // The frame is sized once and the body sealed straight into it.
+  std::vector<std::byte> wire(kHeader + body.size() +
+                              (enabled_ ? crypto::kSealOverhead : 0));
+  wire[0] = std::byte{kVersion};
+  wire[1] = std::byte{enabled_ ? kFlagSealed : std::uint8_t{0}};
+  for (int i = 0; i < 4; ++i) {
+    wire[static_cast<std::size_t>(2 + i)] =
+        static_cast<std::byte>(msg.src >> (8 * i));
+    wire[static_cast<std::size_t>(6 + i)] =
+        static_cast<std::byte>(msg.dst >> (8 * i));
   }
-  return w.take();
+  const auto header = std::span(wire).first(kHeader);
+  const auto rest = std::span(wire).subspan(kHeader);
+  if (!enabled_) {
+    if (!body.empty()) std::memcpy(rest.data(), body.data(), body.size());
+    return wire;
+  }
+  ++sealed_;
+  Direction& d = direction(msg.src, msg.dst);
+  const std::uint64_t count = d.sealed++;
+  crypto::ChaCha20::Nonce nonce;
+  for (int i = 0; i < 4; ++i) {
+    nonce[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(salt_ >> (8 * i));
+  }
+  for (int i = 0; i < 8; ++i) {
+    nonce[static_cast<std::size_t>(4 + i)] =
+        static_cast<std::uint8_t>(count >> (8 * i));
+  }
+  // The header is authenticated as associated data.
+  crypto::seal_into(d.key, nonce, header, body, rest);
+  return wire;
 }
 
 Result<SdMessage> SecurityManager::unprotect(std::span<const std::byte> wire) {
-  constexpr std::size_t kHeader = 1 + 1 + 4 + 4;
   if (wire.size() < kHeader) {
     ++rejected_;
     return Status::error(ErrorCode::kCorrupt, "wire frame too short");
@@ -61,11 +95,20 @@ Result<SdMessage> SecurityManager::unprotect(std::span<const std::byte> wire) {
   if ((flags & kFlagSealed) != 0) {
     // Accept sealed traffic even if we run unsealed ourselves — the peer
     // may enforce encryption; mixed clusters still must interoperate.
-    auto opened = crypto::open(pair_key(src, dst), body);
+    // A direction is cached only once a frame on it verifies, so forged
+    // headers cannot grow the cache.
+    const std::uint64_t id = direction_id(src, dst);
+    const auto it = directions_.find(id);
+    const crypto::ChaCha20::Key key =
+        it != directions_.end()
+            ? it->second.key
+            : crypto::derive_direction_key(master_, src, dst);
+    auto opened = crypto::open(key, wire.subspan(0, kHeader), body);
     if (!opened.is_ok()) {
       ++rejected_;
       return opened.status();
     }
+    if (it == directions_.end()) directions_.emplace(id, Direction{key});
     ++opened_;
     return SdMessage::deserialize_body(src, dst, opened.value());
   }

@@ -247,7 +247,7 @@ void Site::check_starvation() {
   if (scheduling_mgr_->frozen()) return;
   if (scheduling_mgr_->queued_total() > 0) return;
   if (!processing_mgr_->idle()) return;
-  if (program_mgr_->active_programs().empty() &&
+  if (!program_mgr_->has_active() &&
       cluster_mgr_->cluster_size() <= 1) {
     return;  // nothing anywhere to ask for
   }

@@ -14,7 +14,7 @@ LoadStats SiteManager::collect_load() const {
       static_cast<std::uint32_t>(site_.scheduling().queued_total());
   s.running = static_cast<std::uint32_t>(site_.processing().running());
   s.programs =
-      static_cast<std::uint32_t>(site_.programs().active_programs().size());
+      static_cast<std::uint32_t>(site_.programs().active_count());
   s.executed_total = site_.processing().executed();
   return s;
 }

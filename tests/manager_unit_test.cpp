@@ -103,6 +103,70 @@ TEST(ProgramManagerTest, InfoFetchedOnDemand) {
   EXPECT_NE(cluster.site(1).programs().find(pid.value()), nullptr);
 }
 
+TEST(ProgramManagerTest, ActiveCountMatchesActivePrograms) {
+  SimCluster cluster;
+  cluster.add_sites(2);
+  ProgramManager& pm = cluster.site(0).programs();
+  const auto expect_active = [&](std::size_t n) {
+    EXPECT_EQ(pm.active_count(), n);
+    EXPECT_EQ(pm.active_count(), pm.active_programs().size());
+    EXPECT_EQ(pm.has_active(), n > 0);
+  };
+  expect_active(0);
+
+  auto spec = ProgramBuilder("count")
+                  .thread("entry", "out(1); exit(0);")
+                  .entry("entry")
+                  .build();
+  auto a = cluster.start_program(spec, /*home_index=*/0);
+  auto b = cluster.start_program(spec, /*home_index=*/0);
+  ASSERT_TRUE(a.is_ok() && b.is_ok());
+  expect_active(2);
+  ASSERT_TRUE(cluster.run_program(a.value(), 60 * kNanosPerSecond).is_ok());
+  ASSERT_TRUE(cluster.run_program(b.value(), 60 * kNanosPerSecond).is_ok());
+  expect_active(0);
+
+  // Termination of programs homed elsewhere, as site 1 broadcasts it.
+  const SiteId other = cluster.site(1).id();
+  const auto terminated_elsewhere = [&](ProgramId pid) {
+    SdMessage msg;
+    msg.src = other;
+    msg.dst = cluster.site(0).id();
+    msg.src_mgr = msg.dst_mgr = ManagerId::kProgram;
+    msg.type = MsgType::kProgramTerminated;
+    msg.program = pid;
+    msg.payload = to_bytes(std::int64_t{0});
+    pm.handle(msg);
+  };
+  const auto info_of = [&](ProgramId pid) {
+    ProgramInfo info;
+    info.id = pid;
+    info.name = "remote";
+    info.home_site = other;
+    return info;
+  };
+
+  // A program this site knows, then sees terminate.
+  const ProgramId known(other, 100);
+  pm.register_info(info_of(known));
+  expect_active(1);
+  terminated_elsewhere(known);
+  expect_active(0);
+
+  // A program this site never saw: terminated_ gains an id infos_ lacks,
+  // and an info arriving later must not count it as active.
+  const ProgramId unseen(other, 101);
+  terminated_elsewhere(unseen);
+  EXPECT_TRUE(pm.is_terminated(unseen));
+  EXPECT_EQ(pm.find(unseen), nullptr);
+  expect_active(0);
+  pm.register_info(info_of(unseen));
+  expect_active(0);
+  pm.register_info(info_of(ProgramId(other, 102)));
+  pm.register_info(info_of(ProgramId(other, 102)));  // re-registration
+  expect_active(1);
+}
+
 TEST(ProgramManagerTest, DuplicateStartValidation) {
   SimCluster cluster;
   cluster.add_sites(1);
