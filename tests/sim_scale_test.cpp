@@ -194,6 +194,26 @@ TEST(SimGoldenPinTest, PaperScaleHash) {
   EXPECT_EQ(paper_scale_hash(7), 7532577355965255732ULL);
 }
 
+/// The large-membership profile (ring heartbeats, delta gossip) folded
+/// into the event hash: build 96 sites, run the hello program, idle a
+/// virtual second. The 4- and 8-site pins never leave the full mesh.
+std::uint64_t scale_profile_hash() {
+  SimCluster cluster;
+  cluster.enable_event_hash();
+  cluster.add_sites(96, 1.0, scale_site_config(96));
+  auto pid = cluster.start_program(hello_program());
+  EXPECT_TRUE(pid.is_ok());
+  if (pid.is_ok()) {
+    (void)cluster.run_program(pid.value(), 10 * kNanosPerSecond);
+  }
+  cluster.loop().run_for(kNanosPerSecond);
+  return cluster.event_hash();
+}
+
+TEST(SimGoldenPinTest, ScaleProfileHash) {
+  EXPECT_EQ(scale_profile_hash(), 16374703572469185576ULL);
+}
+
 TEST(SimGoldenPinTest, EncryptedPrimesProbe) {
   const PrimesProbe probe = encrypted_primes_probe();
   EXPECT_EQ(probe.virtual_ns, 4'903'593'148);
