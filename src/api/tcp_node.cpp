@@ -57,7 +57,7 @@ Result<std::unique_ptr<TcpNode>> TcpNode::create(Options options) {
   node->tcp_->set_unreachable_hook([site](const std::string& address) {
     std::lock_guard lk(site->lock());
     if (!site->cluster().joined()) return;
-    for (SiteId sid : site->cluster().known_sites(/*alive_only=*/true)) {
+    for (SiteId sid : site->cluster().live_sites()) {
       auto addr = site->cluster().physical_address(sid);
       if (addr.is_ok() && addr.value() == address) {
         site->cluster().mark_dead(sid, /*gossip=*/true);

@@ -159,7 +159,7 @@ void InvariantChecker::check_membership(ChaosContext& ctx,
     if (!ctx.live(i)) continue;
     Site& site = ctx.cluster.site(i);
     if (!site.joined()) continue;
-    views.push_back(View{i, site.id(), site.cluster().known_sites(true)});
+    views.push_back(View{i, site.id(), site.cluster().live_sites()});
   }
   // Group identical views first: a converged 1000-site cluster collapses
   // to one group and the check finishes in O(n·|view|) instead of the
@@ -169,7 +169,7 @@ void InvariantChecker::check_membership(ChaosContext& ctx,
     groups[views[i].alive].push_back(i);
   }
   if (groups.size() <= 1) return;
-  // known_sites walks a std::map, so each view is sorted by id.
+  // live_sites() is kept sorted by id, so binary search works.
   auto sees_alive = [](const View& v, SiteId other) {
     return std::binary_search(v.alive.begin(), v.alive.end(), other);
   };

@@ -794,7 +794,7 @@ void AttractionMemory::relocate_all_to(SiteId successor) {
   // other site ever sees two authoritative answers. The successor gets
   // the shards whose target it is; others go where they belong.
   {
-    std::vector<SiteId> live = site_.cluster().known_sites(true);
+    std::vector<SiteId> live = site_.cluster().live_sites();
     std::erase(live, site_.id());
     std::vector<ShardLeaseAnnounce::Entry> announce;
     for (std::uint32_t s = 0; s < kNumShards; ++s) {
@@ -909,12 +909,6 @@ void AttractionMemory::drop_program(ProgramId pid) {
 // Sharded directory: leases, routing, handoff, crash rebuild
 // ---------------------------------------------------------------------------
 
-bool AttractionMemory::site_alive(SiteId id) const {
-  if (id == site_.id()) return true;
-  const SiteInfo* info = site_.cluster().find(id);
-  return info != nullptr && info->alive;
-}
-
 std::size_t AttractionMemory::shards_held() const {
   std::size_t n = 0;
   for (const ShardLease& l : leases_) {
@@ -938,26 +932,12 @@ bool AttractionMemory::shard_authoritative(std::uint32_t shard) const {
   return true;
 }
 
-void AttractionMemory::reconcile_targets() {
-  // Our own entry enters the live view unannounced (the sign-on reply
-  // inserts it), so a view still missing it re-reads membership once the
-  // entry is there. Until then the view is a joiner's partial snapshot.
-  if (!shard_view_dirty_ && !shard_targets_.contains(site_.id())) {
-    const SiteInfo* self = site_.cluster().find(site_.id());
-    shard_view_dirty_ = self != nullptr && self->alive;
-  }
-  if (!shard_view_dirty_) return;
-  shard_targets_.reset(site_.cluster().known_sites(true));
-  shard_view_dirty_ = false;
-}
-
 SiteId AttractionMemory::route_of(std::uint32_t shard) {
   const ShardLease& l = leases_[shard];
   if (l.holder != kInvalidSite &&
-      (l.holder == site_.id() || site_alive(l.holder))) {
+      (l.holder == site_.id() || site_.cluster().is_alive(l.holder))) {
     return l.holder;
   }
-  reconcile_targets();
   return shard_targets_.target(shard);
 }
 
@@ -989,7 +969,9 @@ bool AttractionMemory::merge_lease(std::uint32_t s, SiteId holder,
   // Ids are never reused and death is terminal, so the dead incumbent can
   // never serve again — preferring the survivor converges on reality, and
   // max_epoch_seen_ keeps future elections past every epoch ever observed.
-  if (!supersedes && !site_alive(cur.holder) && site_alive(holder)) {
+  const ClusterManager& cluster = site_.cluster();
+  if (!supersedes && !cluster.is_alive(cur.holder) &&
+      cluster.is_alive(holder)) {
     supersedes = true;
   }
   if (!supersedes) return false;
@@ -1013,7 +995,7 @@ void AttractionMemory::announce_leases(
   a.serialize(w);
   const std::vector<std::byte> payload = w.take();
   std::vector<SdMessage> burst;
-  for (SiteId id : site_.cluster().known_sites(true)) {
+  for (SiteId id : site_.cluster().live_sites()) {
     if (id == site_.id()) continue;
     SdMessage m;
     m.dst = id;
@@ -1150,7 +1132,7 @@ void AttractionMemory::begin_rebuild(std::uint32_t s) {
   ByteWriter w;
   rec.serialize(w);
   const std::vector<std::byte> payload = w.take();
-  for (SiteId id : site_.cluster().known_sites(true)) {
+  for (SiteId id : site_.cluster().live_sites()) {
     if (id == site_.id()) continue;
     SdMessage m;
     m.dst = id;
@@ -1201,13 +1183,14 @@ void AttractionMemory::settle_leases(bool announce_held) {
   // An orphaned lease (holder no longer alive) is settled against the
   // current membership: every death updates the targets before it settles,
   // so the computed successor is never the dead site itself.
-  reconcile_targets();
+  //
   // A joiner whose live view does not yet include itself would compute
   // rendezvous targets over an incomplete membership and bounce freshly
   // received shards straight back (epoch ping-pong). Hold all lease moves
   // until the view contains us.
+  const ClusterManager& cluster = site_.cluster();
   const SiteId self = site_.id();
-  if (!shard_targets_.contains(self)) return;
+  if (!cluster.is_alive(self)) return;
   std::vector<ShardLeaseAnnounce::Entry> announce;
   for (std::uint32_t s = 0; s < kNumShards; ++s) {
     const ShardLease l = leases_[s];
@@ -1215,7 +1198,7 @@ void AttractionMemory::settle_leases(bool announce_held) {
     if (l.holder == self) {
       // Consistent hashing remigration: hand the shard over iff the
       // rendezvous target moved away from us.
-      if (tgt != self && tgt != kInvalidSite && site_alive(tgt)) {
+      if (tgt != self && tgt != kInvalidSite && cluster.is_alive(tgt)) {
         graceful_handoff(s, tgt, &announce);
       } else if (announce_held) {
         // Membership changed but the shard stays: re-announce it so a
@@ -1225,9 +1208,9 @@ void AttractionMemory::settle_leases(bool announce_held) {
       continue;
     }
     const bool holder_gone =
-        l.holder == kInvalidSite || !site_alive(l.holder);
+        l.holder == kInvalidSite || !cluster.is_alive(l.holder);
     if (holder_gone && tgt != self && tgt != kInvalidSite &&
-        l.holder != kInvalidSite && announce_held && site_alive(tgt)) {
+        l.holder != kInvalidSite && announce_held && cluster.is_alive(tgt)) {
       // The successor may be a joiner that never heard this lease (dead
       // holders cannot re-announce). Hand it our orphan knowledge so its
       // election runs at a proper epoch instead of being stuck: it cannot
@@ -1252,30 +1235,25 @@ void AttractionMemory::settle_leases(bool announce_held) {
       // a joiner's empty lease table looks identical to a fresh cluster,
       // and letting it claim epoch 1 while the real holder's announce is
       // still in flight creates a spurious competing authority.
-      if (fresh && self != shard_targets_.live().front()) continue;
+      if (fresh && self != cluster.live_sites().front()) continue;
       take_over_shard(s, /*rebuild=*/!fresh);
     }
   }
   if (!announce.empty()) announce_leases(announce);
 }
 
-void AttractionMemory::on_membership_change(SiteId id, bool alive) {
-  // A dirty view is recomputed whole on its next read anyway.
-  if (!shard_view_dirty_) {
-    if (alive) {
-      shard_targets_.add(id);
-    } else {
-      shard_targets_.remove(id);
-    }
+void AttractionMemory::track_live(SiteId id, bool alive) {
+  if (alive) {
+    shard_targets_.add(id);
+  } else {
+    shard_targets_.remove(id, site_.cluster().live_sites());
   }
-  if (!site_.cluster().joined()) return;
-  if (last_shard_tick_ == 0) last_shard_tick_ = site_.clock().now();
-  settle_leases(/*announce_held=*/true);
 }
 
 void AttractionMemory::on_membership_change() {
-  shard_view_dirty_ = true;
-  on_membership_change(kInvalidSite, /*alive=*/false);  // settles only
+  if (!site_.cluster().joined()) return;
+  if (last_shard_tick_ == 0) last_shard_tick_ = site_.clock().now();
+  settle_leases(/*announce_held=*/true);
 }
 
 void AttractionMemory::shard_tick() {
@@ -1341,13 +1319,12 @@ void AttractionMemory::reject_stale(const SdMessage& msg, std::uint32_t s) {
   ShardStale st{s, kInvalidSite, 0};
   const ShardLease& l = leases_[s];
   if (l.holder != kInvalidSite && l.holder != site_.id() &&
-      site_alive(l.holder)) {
+      site_.cluster().is_alive(l.holder)) {
     // Real lease knowledge: the requester can merge it.
     st.holder = l.holder;
     st.epoch = l.epoch;
   } else {
     // Best-effort hint only (epoch 0 so it never pollutes lease tables).
-    reconcile_targets();
     st.holder = shard_targets_.target(s);
   }
   ByteWriter w;

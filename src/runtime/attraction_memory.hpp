@@ -119,17 +119,21 @@ class AttractionMemory {
   /// out rebuilds, and purges parked requests past their TTL.
   void shard_tick();
 
-  /// The live-membership view changed (join, death, sign-off). Marks the
-  /// cached rendezvous targets for a full recompute and settles leases
-  /// immediately so authority gaps close without waiting for the next tick.
+  /// The live-membership view changed (join, death, sign-off): settles
+  /// leases immediately so authority gaps close without waiting for the
+  /// next tick.
   void on_membership_change();
-  /// Site `id` entered (`alive`) or left the live view: the cached targets
-  /// follow that one change incrementally, then leases settle as above.
-  void on_membership_change(SiteId id, bool alive);
+  /// Site `id` entered (`alive`) or left the cluster manager's live view:
+  /// the rendezvous targets follow that one change.
+  void track_live(SiteId id, bool alive);
 
   /// Where requests for `addr` should be sent right now: the shard's lease
   /// holder if it is believed alive, else the computed rendezvous target.
   [[nodiscard]] SiteId shard_route(GlobalAddress addr);
+  /// The shard's rendezvous target over the cluster manager's live view.
+  [[nodiscard]] SiteId rendezvous_target(std::uint32_t shard) const {
+    return shard_targets_.target(shard);
+  }
 
   /// True iff this site may answer authoritatively for the shard: it holds
   /// the lease AND its maintenance tick is current (a site whose tick has
@@ -275,8 +279,6 @@ class AttractionMemory {
 
   // --- sharded-directory state ---------------------------------------------
   // Routing/stale handling helpers (see attraction_memory.cpp).
-  [[nodiscard]] bool site_alive(SiteId id) const;
-  void reconcile_targets();
   SiteId route_of(std::uint32_t shard);
   bool merge_lease(std::uint32_t shard, SiteId holder, std::uint64_t epoch);
   void settle_leases(bool announce_held = false);
@@ -314,11 +316,9 @@ class AttractionMemory {
   std::array<ShardLease, kNumShards> leases_{};
   std::array<std::uint64_t, kNumShards> max_epoch_seen_{};
 
-  // Cached rendezvous targets over the live view. Joins and leaves that
-  // name their site update them in O(kNumShards); anything else sets the
-  // dirty flag, and the next read recomputes them from known_sites().
+  // Rendezvous targets over the cluster manager's live view, updated by
+  // track_live at each join or leave.
   ShardTargets shard_targets_;
-  bool shard_view_dirty_ = true;
   Nanos last_shard_tick_ = 0;
 
   // Crash rebuild: after a takeover the new holder asks every live site to

@@ -61,28 +61,32 @@ void ClusterManager::bootstrap() {
   local_id_ = 1;
   next_central_id_ = 2;
   contingent_next_ = 2;
+  sites_[1] = fresh_local_info();
+  mark_dirty(1);
+  // Site::bootstrap settles the leases once the site is fully set up.
+  set_alive(1, true, /*settle=*/false);
+}
+
+SiteInfo ClusterManager::fresh_local_info() const {
   SiteInfo self;
-  self.id = 1;
+  self.id = local_id_;
   self.address = site_.transport() ? site_.transport()->local_address() : "";
   self.name = site_.config().name;
   self.platform = site_.config().platform;
   self.speed = site_.config().speed;
   self.code_site = site_.config().code_distribution_site;
   self.version = 1;
-  sites_[1] = std::move(self);
-  mark_dirty(1);
-  invalidate_alive();
+  return self;
 }
 
-void ClusterManager::join(const std::string& contact_address,
-                          std::function<void(Status)> done) {
-  join_done_ = std::move(done);
+Status ClusterManager::send_sign_on(const std::string& contact_address) {
+  const SiteInfo self = fresh_local_info();
   SignOnPayload p;
-  p.address = site_.transport() ? site_.transport()->local_address() : "";
-  p.name = site_.config().name;
-  p.platform = site_.config().platform;
-  p.speed = site_.config().speed;
-  p.code_site = site_.config().code_distribution_site;
+  p.address = self.address;
+  p.name = self.name;
+  p.platform = self.platform;
+  p.speed = self.speed;
+  p.code_site = self.code_site;
 
   SdMessage msg;
   msg.dst = kInvalidSite;
@@ -90,7 +94,13 @@ void ClusterManager::join(const std::string& contact_address,
   msg.type = MsgType::kSignOnRequest;
   msg.payload = p.serialize();
   ++signon_messages_;
-  Status st = site_.messages().send_to_address(contact_address, msg);
+  return site_.messages().send_to_address(contact_address, msg);
+}
+
+void ClusterManager::join(const std::string& contact_address,
+                          std::function<void(Status)> done) {
+  join_done_ = std::move(done);
+  Status st = send_sign_on(contact_address);
   if (!st.is_ok() && join_done_) {
     auto cb = std::move(join_done_);
     join_done_ = nullptr;
@@ -108,19 +118,7 @@ void ClusterManager::join(const std::string& contact_address,
 
 void ClusterManager::retry_join() {
   if (joined() || join_contact_.empty()) return;
-  SignOnPayload p;
-  p.address = site_.transport() ? site_.transport()->local_address() : "";
-  p.name = site_.config().name;
-  p.platform = site_.config().platform;
-  p.speed = site_.config().speed;
-  p.code_site = site_.config().code_distribution_site;
-  SdMessage msg;
-  msg.dst = kInvalidSite;
-  msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
-  msg.type = MsgType::kSignOnRequest;
-  msg.payload = p.serialize();
-  ++signon_messages_;
-  (void)site_.messages().send_to_address(join_contact_, msg);
+  (void)send_sign_on(join_contact_);
   site_.schedule_after(site_.config().failure_timeout,
                        [this] { retry_join(); });
 }
@@ -131,13 +129,12 @@ void ClusterManager::announce_sign_off(SiteId successor) {
   self.successor = successor;
   self.version++;
   mark_dirty(local_id_, kRespreadRounds);
-  alive_entry_died(local_id_);
+  set_alive(local_id_, false);
 
   ByteWriter w;
   w.site(local_id_);
   w.site(successor);
-  for (SiteId sid : known_sites(/*alive_only=*/true)) {
-    if (sid == local_id_) continue;
+  for (SiteId sid : live_) {
     SdMessage msg;
     msg.dst = sid;
     msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
@@ -161,57 +158,25 @@ const SiteInfo* ClusterManager::find(SiteId id) const {
   return it == sites_.end() ? nullptr : &it->second;
 }
 
-std::vector<SiteId> ClusterManager::known_sites(bool alive_only) const {
-  std::vector<SiteId> out;
-  for (const auto& [id, info] : sites_) {
-    if (!alive_only || info.alive) out.push_back(id);
-  }
-  return out;
+bool ClusterManager::is_alive(SiteId id) const {
+  return std::binary_search(live_.begin(), live_.end(), id);
 }
 
-std::size_t ClusterManager::cluster_size() const {
-  refresh_alive_cache();
-  return alive_count_;
-}
-
-void ClusterManager::refresh_alive_cache() const {
-  if (!alive_dirty_) return;
-  alive_count_ = 0;
-  alive_peers_.clear();
-  for (const auto& [id, info] : sites_) {
-    if (!info.alive) continue;
-    ++alive_count_;
-    if (id != local_id_) alive_peers_.push_back(&info);
-  }
-  alive_dirty_ = false;
-}
-
-void ClusterManager::alive_entry_added(SiteId id) {
-  if (!alive_dirty_) {  // else a lazy rebuild is already pending
-    ++alive_count_;
-    if (id != local_id_) {
-      auto pos = std::lower_bound(
-          alive_peers_.begin(), alive_peers_.end(), id,
-          [](const SiteInfo* a, SiteId b) { return a->id < b; });
-      alive_peers_.insert(pos, &sites_.find(id)->second);
+void ClusterManager::set_alive(SiteId id, bool alive, bool settle) {
+  auto pos = std::lower_bound(live_.begin(), live_.end(), id);
+  const bool listed = pos != live_.end() && *pos == id;
+  if (alive != listed) {
+    if (alive) {
+      live_.insert(pos, id);
+    } else {
+      live_.erase(pos);
     }
+    // Shard rendezvous targets follow the joiner or leaver.
+    site_.memory().track_live(id, alive);
   }
-  // The live set changed: shard rendezvous targets follow the joiner and
-  // leases settle (remigration to the joiner happens here). The shard view
-  // keeps its own dirty flag, so a pending rebuild of this cache does not
-  // force it to be recomputed whole.
-  site_.memory().on_membership_change(id, /*alive=*/true);
-}
-
-void ClusterManager::alive_entry_died(SiteId id) {
-  if (!alive_dirty_) {
-    --alive_count_;
-    auto pos = std::lower_bound(
-        alive_peers_.begin(), alive_peers_.end(), id,
-        [](const SiteInfo* a, SiteId b) { return a->id < b; });
-    if (pos != alive_peers_.end() && (*pos)->id == id) alive_peers_.erase(pos);
-  }
-  site_.memory().on_membership_change(id, /*alive=*/false);
+  // Leases settle against the new view (remigration to a joiner, successor
+  // election for a leaver's shards).
+  if (settle) site_.memory().on_membership_change();
 }
 
 SiteId ClusterManager::resolve_successor(SiteId id) const {
@@ -231,31 +196,31 @@ std::optional<SiteId> ClusterManager::pick_help_target(
     const std::vector<SiteId>& exclude) {
   // "Choose a site which is probably not idle itself": prefer the highest
   // known queued work; fall back to round-robin over peers.
-  refresh_alive_cache();
   const SiteInfo* best = nullptr;
-  std::vector<const SiteInfo*> candidates;
-  candidates.reserve(alive_peers_.size());
-  for (const SiteInfo* info : alive_peers_) {
-    if (std::find(exclude.begin(), exclude.end(), info->id) !=
-        exclude.end()) {
+  std::vector<SiteId> candidates;
+  candidates.reserve(live_.size());
+  for (const auto& [id, info] : sites_) {
+    if (!info.alive || id == local_id_ ||
+        std::find(exclude.begin(), exclude.end(), id) != exclude.end()) {
       continue;
     }
-    candidates.push_back(info);
-    if (info->load.queued_frames > 0 &&
+    candidates.push_back(id);
+    if (info.load.queued_frames > 0 &&
         (best == nullptr ||
-         info->load.queued_frames > best->load.queued_frames)) {
-      best = info;
+         info.load.queued_frames > best->load.queued_frames)) {
+      best = &info;
     }
   }
   if (best != nullptr) return best->id;
   if (candidates.empty()) return std::nullopt;
-  return candidates[gossip_cursor_++ % candidates.size()]->id;
+  return candidates[gossip_cursor_++ % candidates.size()];
 }
 
-std::optional<SiteId> ClusterManager::pick_any_other() {
-  refresh_alive_cache();
-  if (alive_peers_.empty()) return std::nullopt;
-  return alive_peers_.front()->id;  // map order: lowest live peer id
+std::optional<SiteId> ClusterManager::pick_any_other() const {
+  for (SiteId id : live_) {
+    if (id != local_id_) return id;
+  }
+  return std::nullopt;
 }
 
 std::vector<SiteId> ClusterManager::code_distribution_sites() const {
@@ -279,39 +244,46 @@ SiteInfo ClusterManager::local_info() const {
   return it == sites_.end() ? SiteInfo{} : it->second;
 }
 
-void ClusterManager::merge(const SiteInfo& info) {
-  if (info.id == kInvalidSite || info.id == local_id_) return;
-  auto it = sites_.find(info.id);
+void ClusterManager::merge(SiteInfo info) {
+  const SiteId id = info.id;
+  if (id == kInvalidSite || id == local_id_) return;
+  auto it = sites_.find(id);
+  const bool existed = it != sites_.end();
   // Death is terminal: logical ids are never reused (a returning machine
   // signs on afresh), so an "alive" entry — however new its version — must
   // never resurrect a site we already count as dead. Without this, a
   // crashed site's stale high-version self-entry keeps bouncing through
   // gossip and re-animating it mid-recovery.
-  if (it != sites_.end() && !it->second.alive && info.alive) return;
-  if (it == sites_.end() || info.version > it->second.version ||
-      (!info.alive && it->second.alive)) {
-    bool was_alive = it == sites_.end() ? true : it->second.alive;
-    SiteId prior_successor =
-        it == sites_.end() ? kInvalidSite : it->second.successor;
-    const bool existed = it != sites_.end();
-    sites_[info.id] = info;
-    const bool transition = !existed || was_alive != info.alive ||
-                            prior_successor != info.successor;
-    mark_dirty(info.id, transition ? kRespreadRounds : 1);
-    if (!existed && info.alive) {
-      alive_entry_added(info.id);
-    } else if (existed && was_alive && !info.alive) {
-      alive_entry_died(info.id);
-    }
-    if (!info.alive && info.successor == kInvalidSite &&
-        prior_successor != kInvalidSite) {
-      // Keep a known successor; a bare death verdict carries none.
-      sites_[info.id].successor = prior_successor;
-    }
-    if (was_alive && !info.alive && info.successor == kInvalidSite) {
-      // Learned of a crash via gossip.
-      site_.on_site_dead(info.id);
-    }
+  if (existed && !it->second.alive && info.alive) return;
+  if (existed && info.version <= it->second.version &&
+      (info.alive || !it->second.alive)) {
+    return;
+  }
+  const bool was_alive = existed ? it->second.alive : true;
+  const SiteId prior_successor =
+      existed ? it->second.successor : kInvalidSite;
+  const bool alive = info.alive;
+  const SiteId successor = info.successor;
+  if (existed) {
+    it->second = std::move(info);
+  } else {
+    it = sites_.emplace(id, std::move(info)).first;
+  }
+  const bool transition =
+      !existed || was_alive != alive || prior_successor != successor;
+  mark_dirty(id, transition ? kRespreadRounds : 1);
+  if (!existed && alive) {
+    set_alive(id, true);
+  } else if (existed && was_alive && !alive) {
+    set_alive(id, false);
+  }
+  if (!alive && successor == kInvalidSite && prior_successor != kInvalidSite) {
+    // Keep a known successor; a bare death verdict carries none.
+    it->second.successor = prior_successor;
+  }
+  if (was_alive && !alive && successor == kInvalidSite) {
+    // Learned of a crash via gossip.
+    site_.on_site_dead(id);
   }
 }
 
@@ -327,13 +299,12 @@ std::vector<std::byte> ClusterManager::encode_cluster_list() const {
   return w.take();
 }
 
-std::vector<std::byte> ClusterManager::encode_entries(
-    const std::set<SiteId>& ids) const {
+std::vector<std::byte> ClusterManager::encode_dirty() const {
   ByteWriter w;
   std::uint32_t n = 0;
-  for (SiteId id : ids) n += sites_.contains(id) ? 1 : 0;
+  for (const auto& [id, rounds] : dirty_) n += sites_.contains(id) ? 1 : 0;
   w.u32(n);
-  for (SiteId id : ids) {
+  for (const auto& [id, rounds] : dirty_) {
     if (auto it = sites_.find(id); it != sites_.end()) {
       it->second.serialize(w);
     }
@@ -346,7 +317,7 @@ void ClusterManager::absorb_cluster_list(ByteReader& r) {
   for (std::uint32_t i = 0; i < n; ++i) {
     auto info = SiteInfo::deserialize(r);
     if (!info.is_ok()) return;
-    merge(info.value());
+    merge(std::move(info).value());
   }
 }
 
@@ -362,11 +333,7 @@ std::optional<SiteId> ClusterManager::try_allocate_id() {
       if (local_id_ == 1) return next_central_id_++;
       const SiteInfo* central = find(1);
       if (central != nullptr && !central->alive) {
-        SiteId lowest = local_id_;
-        for (SiteId sid : known_sites(/*alive_only=*/true)) {
-          lowest = std::min(lowest, sid);
-        }
-        if (lowest == local_id_) {
+        if (live_.empty() || live_.front() >= local_id_) {
           SiteId base = 1;
           for (const auto& [sid, info] : sites_) base = std::max(base, sid);
           next_central_id_ = std::max(next_central_id_, base + 1);
@@ -435,10 +402,8 @@ void ClusterManager::handle_sign_on_request(const SdMessage& msg) {
       SiteId allocator = 1;
       const SiteInfo* central = find(1);
       if (central != nullptr && !central->alive) {
-        allocator = local_id_;
-        for (SiteId sid : known_sites(/*alive_only=*/true)) {
-          allocator = std::min(allocator, sid);
-        }
+        allocator = live_.empty() ? local_id_
+                                  : std::min(local_id_, live_.front());
       }
       SdMessage fwd;
       fwd.dst = allocator;
@@ -490,7 +455,7 @@ void ClusterManager::complete_sign_on(const SdMessage& request, SiteId new_id) {
   info.version = 1;
   sites_[new_id] = info;
   mark_dirty(new_id, kRespreadRounds);
-  alive_entry_added(new_id);
+  set_alive(new_id, true);
 
   refresh_local_info();
   ++sites_admitted_;
@@ -500,11 +465,13 @@ void ClusterManager::complete_sign_on(const SdMessage& request, SiteId new_id) {
   // site's ring neighbors must learn to heartbeat it (and expect its
   // heartbeats) within one failure timeout, or they would judge each
   // other dead while the epidemic is still propagating.
-  std::set<SiteId> added{new_id};
-  auto entry = encode_entries(added);
+  ByteWriter entry_w;
+  entry_w.u32(1);
+  info.serialize(entry_w);
+  const std::vector<std::byte> entry = entry_w.take();
   std::vector<SdMessage> burst;
-  for (const auto& [sid, si] : sites_) {
-    if (!si.alive || sid == local_id_ || sid == new_id) continue;
+  for (SiteId sid : live_) {
+    if (sid == local_id_ || sid == new_id) continue;
     SdMessage msg;
     msg.dst = sid;
     msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
@@ -575,18 +542,11 @@ void ClusterManager::handle(const SdMessage& msg) {
       } catch (const DecodeError&) {
         break;
       }
-      SiteInfo self;
-      self.id = local_id_;
-      self.address =
-          site_.transport() ? site_.transport()->local_address() : "";
-      self.name = site_.config().name;
-      self.platform = site_.config().platform;
-      self.speed = site_.config().speed;
-      self.code_site = site_.config().code_distribution_site;
-      self.version = 1;
-      sites_[local_id_] = std::move(self);
+      sites_[local_id_] = fresh_local_info();
       mark_dirty(local_id_, kRespreadRounds);
-      invalidate_alive();
+      // Our own entry enters the targets unsettled; the join callback
+      // settles once the site is set up.
+      set_alive(local_id_, true, /*settle=*/false);
       if (join_done_) {
         auto cb = std::move(join_done_);
         join_done_ = nullptr;
@@ -618,7 +578,7 @@ void ClusterManager::handle(const SdMessage& msg) {
         auto it = sites_.find(departing);
         if (it != sites_.end()) {
           const bool was_alive = it->second.alive;
-          // Flip the entry before notifying: alive_entry_died triggers
+          // Flip the entry before notifying: set_alive triggers
           // shard-lease settlement, which must observe the departure (else
           // the settle runs against the pre-death view and nothing ever
           // re-fires — mark_dead and the failure detector both skip
@@ -627,7 +587,7 @@ void ClusterManager::handle(const SdMessage& msg) {
           it->second.successor = successor;
           it->second.version++;
           mark_dirty(departing, kRespreadRounds);
-          if (was_alive) alive_entry_died(departing);
+          if (was_alive) set_alive(departing, false);
         }
       } catch (const DecodeError&) {
       }
@@ -639,7 +599,7 @@ void ClusterManager::handle(const SdMessage& msg) {
       try {
         ByteReader r(msg.payload);
         auto info = SiteInfo::deserialize(r);
-        if (info.is_ok()) merge(info.value());
+        if (info.is_ok()) merge(std::move(info).value());
       } catch (const DecodeError&) {
       }
       break;
@@ -676,7 +636,7 @@ void ClusterManager::mark_dead(SiteId id, bool gossip) {
   it->second.alive = false;
   it->second.version++;
   mark_dirty(id, kRespreadRounds);
-  alive_entry_died(id);
+  set_alive(id, false);
   ++deaths_detected_;
   SDVM_WARN(site_.tag()) << "site " << id << " declared dead";
   site_.on_site_dead(id);
@@ -684,7 +644,7 @@ void ClusterManager::mark_dead(SiteId id, bool gossip) {
     ByteWriter w;
     w.site(id);
     std::vector<SdMessage> burst;
-    for (SiteId sid : known_sites(/*alive_only=*/true)) {
+    for (SiteId sid : live_) {
       if (sid == local_id_) continue;
       SdMessage msg;
       msg.dst = sid;
@@ -725,7 +685,7 @@ void ClusterManager::set_successor(SiteId dead, SiteId heir, bool gossip) {
     w.site(dead);
     w.site(heir);
     std::vector<SdMessage> burst;
-    for (SiteId sid : known_sites(/*alive_only=*/true)) {
+    for (SiteId sid : live_) {
       if (sid == local_id_) continue;
       SdMessage msg;
       msg.dst = sid;
@@ -744,21 +704,10 @@ void ClusterManager::on_tick() {
   ++tick_count_;
   refresh_local_info();
 
-  // The ring order below depends on `live` being sorted by id. The cached
-  // peer vector already is (map order); splicing our own id in costs one
-  // flat copy per tick instead of an O(n) map walk.
-  refresh_alive_cache();
-  std::vector<SiteId> live;
-  live.reserve(alive_peers_.size() + 1);
-  for (const SiteInfo* p : alive_peers_) live.push_back(p->id);
-  if (auto self = sites_.find(local_id_);
-      self != sites_.end() && self->second.alive) {
-    live.insert(std::lower_bound(live.begin(), live.end(), local_id_),
-                local_id_);
-  }
+  // The ring order below depends on live_ being sorted by id.
   const int fanout = site_.config().heartbeat_fanout;
   const bool ring =
-      fanout > 0 && live.size() > static_cast<std::size_t>(fanout) + 1;
+      fanout > 0 && live_.size() > static_cast<std::size_t>(fanout) + 1;
 
   // Heartbeat targets: the whole membership (paper behavior), or with a
   // fanout the k ring successors by sorted live id — O(k) per tick, so a
@@ -766,17 +715,18 @@ void ClusterManager::on_tick() {
   std::vector<SiteId> targets;
   std::vector<SiteId> monitored;  // who heartbeats *us* → who we may judge
   if (!ring) {
-    for (SiteId sid : live) {
+    for (SiteId sid : live_) {
       if (sid != local_id_) targets.push_back(sid);
     }
     monitored = targets;
   } else {
-    const std::size_t n = live.size();
-    std::size_t pos = static_cast<std::size_t>(
-        std::lower_bound(live.begin(), live.end(), local_id_) - live.begin());
+    const std::size_t n = live_.size();
+    const std::size_t pos = static_cast<std::size_t>(
+        std::lower_bound(live_.begin(), live_.end(), local_id_) -
+        live_.begin());
     for (int i = 1; i <= fanout; ++i) {
-      targets.push_back(live[(pos + static_cast<std::size_t>(i)) % n]);
-      monitored.push_back(live[(pos + n - static_cast<std::size_t>(i)) % n]);
+      targets.push_back(live_[(pos + static_cast<std::size_t>(i)) % n]);
+      monitored.push_back(live_[(pos + n - static_cast<std::size_t>(i)) % n]);
     }
   }
 
@@ -808,15 +758,18 @@ void ClusterManager::on_tick() {
     }
     monitored_since_ = std::move(since);  // forget peers that rotated out
   }
+  // Gossip below draws from the view this tick opened with: a death found
+  // here leaves live_, so only then is that view kept aside.
+  std::vector<SiteId> opening_view;
   Nanos timeout = site_.config().failure_timeout;
   for (SiteId sid : monitored) {
-    auto info = sites_.find(sid);
-    if (info == sites_.end() || !info->second.alive) continue;
+    if (!is_alive(sid)) continue;
     Nanos base = monitored_since_[sid];
     if (auto heard = last_heard_.find(sid); heard != last_heard_.end()) {
       base = std::max(base, heard->second);
     }
     if (now - base > timeout) {
+      if (opening_view.empty()) opening_view = live_;
       mark_dead(sid, /*gossip=*/true);
     }
   }
@@ -826,9 +779,14 @@ void ClusterManager::on_tick() {
   // re-dirty membership transitions for kRespreadRounds, so those keep
   // spreading epidemically) with a full anti-entropy list every 16th
   // tick.
-  auto peers = std::move(live);
-  std::erase(peers, local_id_);
-  if (!peers.empty()) {
+  const std::vector<SiteId>& view =
+      opening_view.empty() ? live_ : opening_view;
+  const auto self_pos = static_cast<std::size_t>(
+      std::lower_bound(view.begin(), view.end(), local_id_) - view.begin());
+  const bool self_listed =
+      self_pos < view.size() && view[self_pos] == local_id_;
+  const std::size_t peers = view.size() - (self_listed ? 1 : 0);
+  if (peers > 0) {
     const bool delta = site_.config().gossip_delta && tick_count_ % 16 != 0;
     SdMessage msg;
     // Offset the round-robin phase by our id: every member advances its
@@ -838,18 +796,14 @@ void ClusterManager::on_tick() {
     // the window reaches them, which at hundreds of members takes longer
     // than a failure timeout (and starves re-convergence after a healed
     // cut). The prime multiplier spreads adjacent ids across the list.
-    msg.dst = peers[(gossip_cursor_++ +
+    std::size_t k = (gossip_cursor_++ +
                      static_cast<std::size_t>(local_id_) * 7919u) %
-                    peers.size()];
+                    peers;
+    if (self_listed && k >= self_pos) ++k;  // skip ourselves in the view
+    msg.dst = view[k];
     msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
     msg.type = MsgType::kSiteGossip;
-    if (delta) {
-      std::set<SiteId> dirty_now;
-      for (const auto& [id, rounds] : dirty_) dirty_now.insert(id);
-      msg.payload = encode_entries(dirty_now);
-    } else {
-      msg.payload = encode_cluster_list();
-    }
+    msg.payload = delta ? encode_dirty() : encode_cluster_list();
     (void)site_.messages().send(std::move(msg));
   }
   for (auto it = dirty_.begin(); it != dirty_.end();) {

@@ -8,7 +8,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -46,8 +45,11 @@ class ClusterManager {
   // --- cluster list --------------------------------------------------------
   [[nodiscard]] Result<std::string> physical_address(SiteId id) const;
   [[nodiscard]] const SiteInfo* find(SiteId id) const;
-  [[nodiscard]] std::vector<SiteId> known_sites(bool alive_only = true) const;
-  [[nodiscard]] std::size_t cluster_size() const;
+  /// Every live site, us included, sorted by id: the one membership view
+  /// the other managers ask. Kept at each alive transition, never rebuilt.
+  [[nodiscard]] const std::vector<SiteId>& live_sites() const { return live_; }
+  [[nodiscard]] bool is_alive(SiteId id) const;
+  [[nodiscard]] std::size_t cluster_size() const { return live_.size(); }
 
   /// Follows sign-off successor chains to a live site (routing for
   /// messages addressed to departed sites' memory directories).
@@ -58,9 +60,9 @@ class ClusterManager {
   [[nodiscard]] std::optional<SiteId> pick_help_target(
       const std::vector<SiteId>& exclude = {});
 
-  /// Picks a live site other than us (round-robin-ish) for relocation and
-  /// checkpoint placement.
-  [[nodiscard]] std::optional<SiteId> pick_any_other();
+  /// The lowest-id live site other than us: where a graceful sign-off
+  /// relocates our state.
+  [[nodiscard]] std::optional<SiteId> pick_any_other() const;
 
   /// Live sites advertising themselves as code distribution sites (§4).
   [[nodiscard]] std::vector<SiteId> code_distribution_sites() const;
@@ -72,7 +74,7 @@ class ClusterManager {
   /// Refreshes our own SiteInfo (load stats) before it is piggybacked.
   void refresh_local_info();
   /// Merges a received SiteInfo (gossip, piggyback) — higher version wins.
-  void merge(const SiteInfo& info);
+  void merge(SiteInfo info);
   [[nodiscard]] SiteInfo local_info() const;
 
   /// Marks a site dead (failure detector or external verdict) and gossips
@@ -90,10 +92,6 @@ class ClusterManager {
   [[nodiscard]] std::vector<std::byte> encode_cluster_list() const;
   void absorb_cluster_list(ByteReader& r);
 
-  /// Same wire format, restricted to the given ids (delta gossip).
-  [[nodiscard]] std::vector<std::byte> encode_entries(
-      const std::set<SiteId>& ids) const;
-
   /// Registers this manager's instruments ("cluster." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
@@ -109,6 +107,15 @@ class ClusterManager {
   void handle_sign_on_request(const SdMessage& msg);
   void complete_sign_on(const SdMessage& original_request, SiteId new_id);
   void send_sign_on_reply(const std::string& address, SiteId new_id);
+  Status send_sign_on(const std::string& contact_address);
+  /// Our own entry as it first enters the cluster list (version 1).
+  [[nodiscard]] SiteInfo fresh_local_info() const;
+  /// Same wire format as encode_cluster_list, restricted to the entries
+  /// still in dirty_ (delta gossip).
+  [[nodiscard]] std::vector<std::byte> encode_dirty() const;
+  /// The one place `id` enters or leaves live_: forwards the change to the
+  /// shard targets and, with `settle`, settles shard leases against it.
+  void set_alive(SiteId id, bool alive, bool settle = true);
   [[nodiscard]] std::optional<SiteId> try_allocate_id();
   void request_id_block(std::function<void()> then);
 
@@ -130,7 +137,6 @@ class ClusterManager {
 
   // Sign-on requests parked while we fetch an id block.
   std::vector<SdMessage> parked_sign_ons_;
-  Nanos last_heartbeat_ = 0;
   std::size_t gossip_cursor_ = 0;
   std::map<SiteId, Nanos> last_heard_;
   /// When each currently monitored peer *became* monitored. Ring
@@ -155,21 +161,9 @@ class ClusterManager {
     r = std::max(r, rounds);
   }
   std::map<SiteId, int> dirty_;
-  /// Liveness-cache maintenance. Version/load bumps (refresh_local_info
-  /// runs every tick) must NOT touch the cache; only membership changes
-  /// do, and those update it incrementally — a full rebuild per admission
-  /// made building a 1000-site cluster quadratic in map walks.
-  void invalidate_alive() { alive_dirty_ = true; }
-  void refresh_alive_cache() const;
-  void alive_entry_added(SiteId id);  // a new alive entry appeared
-  void alive_entry_died(SiteId id);   // an alive entry's bit flipped off
-  /// cluster_size() gates the per-pump starvation check and
-  /// pick_help_target runs per help request; at 1000 sites neither may
-  /// walk the membership map. alive_peers_ holds pointers into sites_
-  /// nodes (stable: entries are never erased — death is terminal).
-  mutable std::size_t alive_count_ = 0;
-  mutable std::vector<const SiteInfo*> alive_peers_;
-  mutable bool alive_dirty_ = true;
+  /// Ids of the entries in sites_ that are alive, sorted. sites_ never
+  /// erases (death is terminal), so this is always a subset of its keys.
+  std::vector<SiteId> live_;
   std::uint64_t tick_count_ = 0;
 };
 

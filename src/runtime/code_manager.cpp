@@ -147,7 +147,7 @@ void CodeManager::fetch_remote(ProgramId pid, MicrothreadId tid) {
   // recorded in our ProgramInfo may be stale (the takeover site only
   // broadcasts the re-homed info to sites alive at that moment), but any
   // site that ever compiled the thread serves it from its source cache.
-  for (SiteId sid : site_.cluster().known_sites(/*alive_only=*/true)) {
+  for (SiteId sid : site_.cluster().live_sites()) {
     if (std::find(targets->begin(), targets->end(), sid) == targets->end()) {
       targets->push_back(sid);
     }

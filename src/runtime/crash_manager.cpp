@@ -58,8 +58,7 @@ CheckpointStore* CrashManager::checkpoint_store() {
 }
 
 std::vector<SiteId> CrashManager::pick_holders(ProgramId pid) const {
-  std::vector<SiteId> alive = site_.cluster().known_sites(/*alive_only=*/true);
-  std::sort(alive.begin(), alive.end());
+  std::vector<SiteId> alive = site_.cluster().live_sites();
   std::erase(alive, site_.id());
   if (alive.empty()) return {};
   std::uint32_t k = site_.config().replication_factor;
@@ -270,7 +269,7 @@ void CrashManager::expire_pending_shards(Pred pred) {
 void CrashManager::begin_checkpoint(ProgramId pid) {
   Round round;
   round.epoch = ++next_epoch_[pid];
-  round.expected = site_.cluster().known_sites(/*alive_only=*/true);
+  round.expected = site_.cluster().live_sites();
   round.started = site_.clock().now();
   last_checkpoint_[pid] = round.started;  // rate-limit even on failure
 
@@ -527,22 +526,19 @@ void CrashManager::on_site_dead(SiteId dead) {
   // live holder in the replicated peer set takes over. Every holder runs
   // the same rule on the same set, so exactly one wins.
   std::vector<ProgramId> takeovers;
-  std::vector<SiteId> alive = site_.cluster().known_sites(/*alive_only=*/true);
-  auto is_alive = [&alive](SiteId sid) {
-    return std::find(alive.begin(), alive.end(), sid) != alive.end();
-  };
+  const ClusterManager& cluster = site_.cluster();
   for (const auto& [pid, home] : replica_home_) {
     // The coordinator that sent us the replica may have signed off since
     // (duties travel down the successor chain), or its designated
     // successor-by-takeover may itself have died before re-replicating.
     // Our copy is orphaned whenever the chain no longer ends at a live
     // member — re-evaluate on every death, not just the home's own.
-    if (is_alive(site_.cluster().resolve_successor(home))) continue;
+    if (cluster.is_alive(cluster.resolve_successor(home))) continue;
     if (site_.programs().is_terminated(pid)) continue;
     SiteId min_live = site_.id();
     if (auto pit = replica_peers_.find(pid); pit != replica_peers_.end()) {
       for (SiteId peer : pit->second) {
-        if (peer < min_live && is_alive(peer)) min_live = peer;
+        if (peer < min_live && cluster.is_alive(peer)) min_live = peer;
       }
     }
     if (min_live == site_.id()) takeovers.push_back(pid);
@@ -616,25 +612,25 @@ void CrashManager::begin_recovery(ProgramId pid, SiteId dead) {
   const ProgramInfo* info = site_.programs().find(pid);
   if (info == nullptr) return;
 
-  std::vector<SiteId> alive = site_.cluster().known_sites(/*alive_only=*/true);
-  auto is_alive = [&alive](SiteId sid) {
-    return std::find(alive.begin(), alive.end(), sid) != alive.end();
-  };
+  ClusterManager& cluster = site_.cluster();
+  // Our own restore below runs synchronously (loopback) while we walk the
+  // membership, so walk a copy.
+  const std::vector<SiteId> alive = cluster.live_sites();
 
   // Dead shard owners' global addresses must stay routable: we inherit
   // them. Guarded by liveness — after a cold full-cluster restart the old
   // incarnation's shard-owner ids can coincide with live fresh ids, and a
   // live site must never be marked someone's dead predecessor.
   std::set<SiteId> inherited;
-  if (dead != kInvalidSite && !is_alive(dead)) inherited.insert(dead);
+  if (dead != kInvalidSite && !cluster.is_alive(dead)) inherited.insert(dead);
   for (const auto& [owner, shard] : snap.shards) {
-    if (!is_alive(owner)) inherited.insert(owner);
+    if (!cluster.is_alive(owner)) inherited.insert(owner);
   }
   for (SiteId owner : inherited) {
-    site_.cluster().set_successor(owner, site_.id(), /*gossip=*/true);
+    cluster.set_successor(owner, site_.id(), /*gossip=*/true);
   }
   SiteId route_dead =
-      (dead != kInvalidSite && !is_alive(dead)) ? dead : kInvalidSite;
+      (dead != kInvalidSite && !cluster.is_alive(dead)) ? dead : kInvalidSite;
 
   // Exactly-once output: drop frontend log lines the replay from
   // `snap.epoch` will regenerate.
@@ -646,7 +642,7 @@ void CrashManager::begin_recovery(ProgramId pid, SiteId dead) {
   // silently lose its frames and wedge the program forever.
   std::vector<const std::vector<std::byte>*> orphans;
   for (const auto& [owner, shard] : snap.shards) {
-    if (!is_alive(owner)) orphans.push_back(&shard);
+    if (!cluster.is_alive(owner)) orphans.push_back(&shard);
   }
 
   recovery_started_[pid] = site_.clock().now();
@@ -808,7 +804,7 @@ void CrashManager::announce_offers() {
     e.offers.clear();
     ByteWriter w;
     w.u64(e.my_epoch);
-    for (SiteId sid : site_.cluster().known_sites(/*alive_only=*/true)) {
+    for (SiteId sid : site_.cluster().live_sites()) {
       if (sid == site_.id()) continue;
       SdMessage msg;
       msg.dst = sid;
@@ -896,11 +892,7 @@ void CrashManager::close_election(ProgramId pid) {
   const ProgramInfo* info = site_.programs().find(pid);
   if (info != nullptr) {
     SiteId home = site_.cluster().resolve_successor(info->home_site);
-    std::vector<SiteId> alive =
-        site_.cluster().known_sites(/*alive_only=*/true);
-    bool home_live =
-        std::find(alive.begin(), alive.end(), home) != alive.end();
-    if (home_live && home != site_.id()) {
+    if (site_.cluster().is_alive(home) && home != site_.id()) {
       elections_.erase(it);
       return;
     }

@@ -132,7 +132,7 @@ void ProgramManager::terminate(ProgramId pid, std::int64_t exit_code) {
     // "Its microthreads can safely be deleted from memory" cluster-wide.
     ByteWriter w;
     w.i64(exit_code);
-    for (SiteId sid : site_.cluster().known_sites()) {
+    for (SiteId sid : site_.cluster().live_sites()) {
       if (sid == site_.id()) continue;
       SdMessage msg;
       msg.dst = sid;

@@ -247,7 +247,7 @@ void SchedulingManager::handle(const SdMessage& msg) {
       try {
         ByteReader r(msg.payload);
         auto info = SiteInfo::deserialize(r);
-        if (info.is_ok()) site_.cluster().merge(info.value());
+        if (info.is_ok()) site_.cluster().merge(std::move(info).value());
       } catch (const DecodeError&) {
       }
 

@@ -1,7 +1,5 @@
 #include "runtime/shard_map.hpp"
 
-#include <algorithm>
-
 namespace sdvm {
 
 namespace {
@@ -56,17 +54,6 @@ SiteId shard_target(std::uint32_t shard, const std::vector<SiteId>& live) {
   return best;
 }
 
-void ShardTargets::reset(std::vector<SiteId> live) {
-  std::sort(live.begin(), live.end());
-  live.erase(std::unique(live.begin(), live.end()), live.end());
-  std::erase(live, kInvalidSite);
-  live_ = std::move(live);
-  for (std::uint32_t s = 0; s < kNumShards; ++s) {
-    targets_[s] = Winner{};
-    for (SiteId id : live_) challenge(s, id);
-  }
-}
-
 void ShardTargets::challenge(std::uint32_t shard, SiteId id) {
   ++weight_evals_;
   const std::uint64_t w = rendezvous_weight(shard, id);
@@ -74,25 +61,18 @@ void ShardTargets::challenge(std::uint32_t shard, SiteId id) {
   if (outweighs(w, id, cur.weight, cur.id)) cur = Winner{id, w};
 }
 
-bool ShardTargets::contains(SiteId id) const {
-  return std::binary_search(live_.begin(), live_.end(), id);
-}
-
 void ShardTargets::add(SiteId id) {
-  auto pos = std::lower_bound(live_.begin(), live_.end(), id);
-  if (id == kInvalidSite || (pos != live_.end() && *pos == id)) return;
-  live_.insert(pos, id);
+  if (id == kInvalidSite) return;
   for (std::uint32_t s = 0; s < kNumShards; ++s) challenge(s, id);
 }
 
-void ShardTargets::remove(SiteId id) {
-  auto pos = std::lower_bound(live_.begin(), live_.end(), id);
-  if (pos == live_.end() || *pos != id) return;
-  live_.erase(pos);
+void ShardTargets::remove(SiteId id, const std::vector<SiteId>& live) {
   for (std::uint32_t s = 0; s < kNumShards; ++s) {
     if (targets_[s].id != id) continue;
     targets_[s] = Winner{};
-    for (SiteId other : live_) challenge(s, other);
+    for (SiteId other : live) {
+      if (other != kInvalidSite) challenge(s, other);
+    }
   }
 }
 

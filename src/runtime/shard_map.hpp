@@ -34,26 +34,21 @@ inline constexpr std::uint32_t kNumShards = 16;
 [[nodiscard]] SiteId shard_target(std::uint32_t shard,
                                   const std::vector<SiteId>& live);
 
-/// Every shard's shard_target() over a live view, kept current one join or
-/// leave at a time. A join challenges each shard's winner (kNumShards
-/// weight evaluations); a leave recomputes only the shards the leaver
-/// held. After any sequence of calls, target(s) equals
-/// shard_target(s, live()).
+/// Every shard's shard_target() over a live view the caller keeps, kept
+/// current one join or leave at a time. A join challenges each shard's
+/// winner (kNumShards weight evaluations); a leave recomputes only the
+/// shards the leaver held. After any sequence of calls, target(s) equals
+/// shard_target(s, view) for the view the calls describe.
 class ShardTargets {
  public:
-  /// Recomputes every target from scratch over `live` (any order).
-  void reset(std::vector<SiteId> live);
-  /// `id` entered the live view (no-op if already in it).
+  /// `id` entered the view; call once per entry.
   void add(SiteId id);
-  /// `id` left the live view (no-op if not in it).
-  void remove(SiteId id);
+  /// `id` left the view; `live` is the view without it.
+  void remove(SiteId id, const std::vector<SiteId>& live);
 
   [[nodiscard]] SiteId target(std::uint32_t shard) const {
     return targets_[shard].id;
   }
-  /// The live view, sorted by id.
-  [[nodiscard]] const std::vector<SiteId>& live() const { return live_; }
-  [[nodiscard]] bool contains(SiteId id) const;
   /// Rendezvous weight evaluations so far (the cost the class is built to
   /// bound; tests assert on it instead of on wall time).
   [[nodiscard]] std::uint64_t weight_evals() const { return weight_evals_; }
@@ -66,7 +61,6 @@ class ShardTargets {
   /// Makes `id` the winner of `shard` if it beats the current one.
   void challenge(std::uint32_t shard, SiteId id);
 
-  std::vector<SiteId> live_;
   std::array<Winner, kNumShards> targets_;
   std::uint64_t weight_evals_ = 0;
 };

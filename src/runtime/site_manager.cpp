@@ -45,7 +45,7 @@ void SiteManager::query_cluster_status(ClusterStatusCallback done,
     state->done(std::move(state->status));
   };
 
-  auto peers = site_.cluster().known_sites(/*alive_only=*/true);
+  std::vector<SiteId> peers = site_.cluster().live_sites();
   std::erase(peers, site_.id());
   for (SiteId sid : peers) state->awaiting.insert(sid);
   if (state->awaiting.empty()) {

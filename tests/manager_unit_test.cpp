@@ -36,6 +36,68 @@ TEST(GossipTest, LateSiteLearnsWholeClusterEventually) {
   }
 }
 
+// Every live site's view must equal the id-sorted alive entries of its
+// cluster list, and its shard targets must be computed over that view.
+void expect_live_view_consistent(SimCluster& cluster,
+                                 const std::vector<std::size_t>& live,
+                                 const std::string& when) {
+  for (std::size_t i : live) {
+    const ClusterManager& cm = cluster.site(i).cluster();
+    const auto list = cm.encode_cluster_list();
+    ByteReader r(list);
+    std::vector<SiteId> alive;
+    for (std::uint32_t n = r.u32(); n > 0; --n) {
+      auto info = SiteInfo::deserialize(r);
+      ASSERT_TRUE(info.is_ok()) << when;
+      if (info.value().alive) alive.push_back(info.value().id);
+    }
+    std::sort(alive.begin(), alive.end());
+    EXPECT_EQ(cm.live_sites(), alive) << when << ", site index " << i;
+    EXPECT_EQ(cm.cluster_size(), cm.live_sites().size()) << when;
+    for (std::uint32_t s = 0; s < kNumShards; ++s) {
+      EXPECT_EQ(cluster.site(i).memory().rendezvous_target(s),
+                shard_target(s, cm.live_sites()))
+          << when << ", site index " << i << ", shard " << s;
+    }
+  }
+}
+
+TEST(ClusterManagerTest, LiveViewTracksMembership) {
+  SimCluster cluster;
+  cluster.add_sites(6);
+  std::vector<std::size_t> live = {0, 1, 2, 3, 4, 5};
+  cluster.loop().run_for(kNanosPerSecond);
+  expect_live_view_consistent(cluster, live, "after joins");
+  EXPECT_EQ(cluster.site(0).cluster().cluster_size(), 6u);
+
+  ASSERT_TRUE(cluster.sign_off(5).is_ok());
+  live.pop_back();
+  cluster.loop().run_for(kNanosPerSecond);
+  expect_live_view_consistent(cluster, live, "after a sign-off");
+  EXPECT_EQ(cluster.site(0).cluster().cluster_size(), 5u);
+
+  const SiteId killed = cluster.site(4).id();
+  cluster.kill(4);
+  live.pop_back();
+  cluster.loop().run_for(4 * cluster.site(0).config().failure_timeout);
+  expect_live_view_consistent(cluster, live, "after a crash");
+  EXPECT_FALSE(cluster.site(0).cluster().is_alive(killed));
+  EXPECT_EQ(cluster.site(0).cluster().cluster_size(), 4u);
+
+  // A ghost from a previous incarnation enters the list dead.
+  constexpr SiteId kGhost = 999;
+  cluster.site(0).cluster().set_successor(kGhost, cluster.site(0).id(),
+                                          /*gossip=*/true);
+  cluster.loop().run_for(kNanosPerSecond);
+  expect_live_view_consistent(cluster, live, "after a ghost successor");
+  for (std::size_t i : live) {
+    const ClusterManager& cm = cluster.site(i).cluster();
+    ASSERT_NE(cm.find(kGhost), nullptr) << "site index " << i;
+    EXPECT_FALSE(cm.is_alive(kGhost));
+    EXPECT_EQ(cm.cluster_size(), 4u);
+  }
+}
+
 TEST(GossipTest, LoadStatisticsPropagate) {
   SimCluster cluster;
   cluster.add_sites(3);
@@ -48,7 +110,7 @@ TEST(GossipTest, LoadStatisticsPropagate) {
   cluster.loop().run_for(2 * kNanosPerSecond);
   // Site 3 must have heard a nonzero executed_total for some peer.
   bool heard_load = false;
-  for (SiteId sid : cluster.site(2).cluster().known_sites()) {
+  for (SiteId sid : cluster.site(2).cluster().live_sites()) {
     const SiteInfo* info = cluster.site(2).cluster().find(sid);
     if (info != nullptr && sid != cluster.site(2).id() &&
         info->load.executed_total > 0) {
