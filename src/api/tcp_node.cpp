@@ -58,8 +58,8 @@ Result<std::unique_ptr<TcpNode>> TcpNode::create(Options options) {
     std::lock_guard lk(site->lock());
     if (!site->cluster().joined()) return;
     for (SiteId sid : site->cluster().live_sites()) {
-      auto addr = site->cluster().physical_address(sid);
-      if (addr.is_ok() && addr.value() == address) {
+      const std::string* addr = site->cluster().physical_address(sid);
+      if (addr != nullptr && *addr == address) {
         site->cluster().mark_dead(sid, /*gossip=*/true);
         return;
       }

@@ -1,6 +1,7 @@
 #include "net/inproc.hpp"
 
-#include <algorithm>
+#include <charconv>
+#include <string_view>
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
@@ -12,12 +13,12 @@ Status InProcEndpoint::send(const std::string& to,
   if (net_ == nullptr) {
     return Status::error(ErrorCode::kFailedPrecondition, "endpoint closed");
   }
-  return net_->send_from(address_, to, std::move(bytes));
+  return net_->send_from(*this, to, std::move(bytes));
 }
 
 void InProcEndpoint::close() {
   if (net_ != nullptr) {
-    net_->detach(address_);
+    net_->detach(slot_);
     net_ = nullptr;
   }
 }
@@ -35,15 +36,27 @@ InProcNetwork::~InProcNetwork() {
 
 std::unique_ptr<InProcEndpoint> InProcNetwork::attach(Receiver receiver) {
   std::lock_guard lock(mu_);
-  std::string addr = "inproc:" + std::to_string(next_id_++);
-  auto ep = std::make_unique<InProcEndpoint>(this, addr, std::move(receiver));
-  endpoints_[addr] = ep.get();
+  auto ep = std::make_unique<InProcEndpoint>(this, nodes_.size(),
+                                             std::move(receiver));
+  nodes_.push_back(Node{ep.get()});
   return ep;
 }
 
-void InProcNetwork::detach(const std::string& address) {
+void InProcNetwork::detach(std::size_t slot) {
   std::lock_guard lock(mu_);
-  endpoints_.erase(address);
+  nodes_[slot].endpoint = nullptr;
+}
+
+std::size_t InProcNetwork::slot_locked(const std::string& address) const {
+  constexpr std::string_view kPrefix = "inproc:";
+  if (!address.starts_with(kPrefix)) return 0;
+  const char* first = address.data() + kPrefix.size();
+  const char* last = address.data() + address.size();
+  // Canonical decimals only: "inproc:01" is not "inproc:1".
+  if (first == last || *first == '0') return 0;
+  std::size_t slot = 0;
+  auto [end, ec] = std::from_chars(first, last, slot);
+  return ec == std::errc{} && end == last && slot < nodes_.size() ? slot : 0;
 }
 
 void InProcNetwork::set_default_link(LinkModel model) {
@@ -59,12 +72,12 @@ void InProcNetwork::set_link(const std::string& from, const std::string& to,
 
 void InProcNetwork::kill(const std::string& address) {
   std::lock_guard lock(mu_);
-  killed_.insert(address);
+  if (std::size_t slot = slot_locked(address)) nodes_[slot].killed = true;
 }
 
 bool InProcNetwork::is_killed(const std::string& address) const {
   std::lock_guard lock(mu_);
-  return killed_.contains(address);
+  return nodes_[slot_locked(address)].killed;
 }
 
 void InProcNetwork::partition(const std::vector<std::string>& a,
@@ -90,12 +103,12 @@ bool InProcNetwork::is_partitioned_locked(const std::string& from,
 void InProcNetwork::heal() {
   std::lock_guard lock(mu_);
   partitioned_.clear();
-  killed_.clear();
+  for (Node& node : nodes_) node.killed = false;
 }
 
 void InProcNetwork::set_node_zone(const std::string& address, int zone) {
   std::lock_guard lock(mu_);
-  node_zone_[address] = zone;
+  if (std::size_t slot = slot_locked(address)) nodes_[slot].zone = zone;
 }
 
 void InProcNetwork::set_zone_link(int from_zone, int to_zone, LinkModel model) {
@@ -115,83 +128,63 @@ void InProcNetwork::set_trace_hook(TraceHook hook) {
 
 LinkStats InProcNetwork::total_stats() const {
   std::lock_guard lock(mu_);
-  LinkStats total;
-  for (const auto& [link, s] : stats_) {
-    total.messages += s.messages;
-    total.bytes += s.bytes;
-    total.dropped += s.dropped;
-  }
-  return total;
-}
-
-LinkStats InProcNetwork::stats(const std::string& from,
-                               const std::string& to) const {
-  std::lock_guard lock(mu_);
-  auto it = stats_.find({from, to});
-  return it == stats_.end() ? LinkStats{} : it->second;
+  return stats_;
 }
 
 void InProcNetwork::reset_stats() {
   std::lock_guard lock(mu_);
-  stats_.clear();
+  stats_ = LinkStats{};
 }
 
-Status InProcNetwork::send_from(const std::string& from, const std::string& to,
+Status InProcNetwork::send_from(const InProcEndpoint& sender,
+                                const std::string& to,
                                 std::vector<std::byte> bytes) {
-  std::function<void()> deliver_fn;
+  const std::string& from = sender.address_;
   Nanos delay = 0;
   DeliveryScheduler scheduler;
+  std::size_t target = 0;
   {
     std::lock_guard lock(mu_);
-    auto& st = stats_[{from, to}];
-    auto note = [&](bool delivered) {
-      if (trace_) trace_(from, to, bytes.size(), delivered);
+    auto drop = [&] {
+      stats_.dropped++;
+      if (trace_) trace_(from, to, bytes.size(), false);
     };
-    if (killed_.contains(from) || killed_.contains(to)) {
-      st.dropped++;
-      note(false);
+    target = slot_locked(to);
+    const Node& src = nodes_[sender.slot_];
+    const Node& dst = nodes_[target];
+    if (src.killed || dst.killed) {
+      drop();
       // A dead site is a black hole, not an error the sender can see —
       // failure detection is the cluster manager's job.
       return Status::ok();
     }
     if (is_partitioned_locked(from, to)) {
-      st.dropped++;
-      note(false);
+      drop();
       return Status::ok();
     }
-    if (!endpoints_.contains(to)) {
-      st.dropped++;
-      note(false);
+    if (dst.endpoint == nullptr) {
+      drop();
       return Status::error(ErrorCode::kUnavailable, "no endpoint " + to);
     }
 
     LinkModel model = default_link_;
-    if (auto it = links_.find({from, to}); it != links_.end()) {
-      model = it->second;
-    } else if (!zone_links_.empty()) {
-      auto zf = node_zone_.find(from);
-      auto zt = node_zone_.find(to);
-      if (zf != node_zone_.end() && zt != node_zone_.end()) {
-        if (auto zit = zone_links_.find({zf->second, zt->second});
-            zit != zone_links_.end()) {
-          model = zit->second;
-        }
+    auto link = links_.empty() ? links_.end() : links_.find({from, to});
+    if (link != links_.end()) {
+      model = link->second;
+    } else if (!zone_links_.empty() && src.zone && dst.zone) {
+      if (auto zit = zone_links_.find({*src.zone, *dst.zone});
+          zit != zone_links_.end()) {
+        model = zit->second;
       }
     }
-    if (model.cut) {
-      st.dropped++;
-      note(false);
-      return Status::ok();
-    }
-    if (model.loss > 0 && rng_.uniform() < model.loss) {
-      st.dropped++;
-      note(false);
+    if (model.cut || (model.loss > 0 && rng_.uniform() < model.loss)) {
+      drop();
       return Status::ok();
     }
 
-    st.messages++;
-    st.bytes += bytes.size();
-    note(true);
+    stats_.messages++;
+    stats_.bytes += bytes.size();
+    if (trace_) trace_(from, to, bytes.size(), true);
     delay = model.latency +
             model.per_byte * static_cast<Nanos>(bytes.size());
     if (model.jitter > 0) {
@@ -206,7 +199,7 @@ Status InProcNetwork::send_from(const std::string& from, const std::string& to,
         timer_thread_ = std::thread([this] { timer_loop(); });
       }
       delayed_.push(Pending{WallClock::instance().now() + delay,
-                            delayed_seq_++, to, std::move(bytes)});
+                            delayed_seq_++, target, std::move(bytes)});
       timer_cv_.notify_one();
       return Status::ok();
     }
@@ -214,27 +207,24 @@ Status InProcNetwork::send_from(const std::string& from, const std::string& to,
 
   if (scheduler != nullptr) {
     // Sim mode: the event loop owns time.
-    std::string target = to;
     auto payload = std::make_shared<std::vector<std::byte>>(std::move(bytes));
-    scheduler(delay, target, [this, target, payload] {
+    scheduler(delay, to, [this, target, payload] {
       deliver(target, std::move(*payload));
     });
     return Status::ok();
   }
 
-  deliver(to, std::move(bytes));
+  deliver(target, std::move(bytes));
   return Status::ok();
 }
 
-void InProcNetwork::deliver(const std::string& to,
-                            std::vector<std::byte> bytes) {
+void InProcNetwork::deliver(std::size_t slot, std::vector<std::byte> bytes) {
   Receiver receiver;
   {
     std::lock_guard lock(mu_);
-    if (killed_.contains(to)) return;
-    auto it = endpoints_.find(to);
-    if (it == endpoints_.end()) return;
-    receiver = it->second->receiver_;
+    const Node& node = nodes_[slot];
+    if (node.killed || node.endpoint == nullptr) return;
+    receiver = node.endpoint->receiver_;
   }
   // Invoke outside the fabric lock: receivers enqueue into site inboxes.
   if (receiver) receiver(std::move(bytes));

@@ -1,8 +1,9 @@
-// In-process message fabric. Endpoints are "inproc:<n>" strings. Supports:
+// In-process message fabric. Endpoints are "inproc:<n>" strings; the fabric
+// keeps one node table indexed by <n>. Supports:
 //   * per-link latency/bandwidth model (delayed delivery via either a timer
 //     thread in wall-clock mode or a caller-supplied scheduler in sim mode)
 //   * loss probability, link cuts, partitions, site kill (fault injection)
-//   * per-link traffic counters for the benches
+//   * fabric-wide traffic counters (messages, bytes, drops) for the benches
 #pragma once
 
 #include <condition_variable>
@@ -11,10 +12,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -49,8 +50,11 @@ class InProcNetwork;
 /// per-frame contract the batched TCP path guarantees.
 class InProcEndpoint final : public Transport {
  public:
-  InProcEndpoint(InProcNetwork* net, std::string address, Receiver receiver)
-      : net_(net), address_(std::move(address)), receiver_(std::move(receiver)) {}
+  InProcEndpoint(InProcNetwork* net, std::size_t slot, Receiver receiver)
+      : net_(net),
+        slot_(slot),
+        address_("inproc:" + std::to_string(slot)),
+        receiver_(std::move(receiver)) {}
 
   [[nodiscard]] std::string local_address() const override { return address_; }
   Status send(const std::string& to, std::vector<std::byte> bytes) override;
@@ -59,6 +63,7 @@ class InProcEndpoint final : public Transport {
  private:
   friend class InProcNetwork;
   InProcNetwork* net_;
+  std::size_t slot_;  // the <n> of address_, its index in the node table
   std::string address_;
   Receiver receiver_;
 };
@@ -97,7 +102,8 @@ class InProcNetwork {
   void set_zone_link(int from_zone, int to_zone, LinkModel model);
 
   /// Kills an endpoint abruptly: all traffic to and from it vanishes.
-  /// Models an uncontrolled site crash.
+  /// Models an uncontrolled site crash. An address the fabric never
+  /// attached names no node and is ignored (as by set_node_zone).
   void kill(const std::string& address);
   [[nodiscard]] bool is_killed(const std::string& address) const;
 
@@ -119,29 +125,39 @@ class InProcNetwork {
                                        std::size_t, bool)>;
   void set_trace_hook(TraceHook hook);
 
+  /// Traffic over every link since construction or reset_stats().
   [[nodiscard]] LinkStats total_stats() const;
-  [[nodiscard]] LinkStats stats(const std::string& from,
-                                const std::string& to) const;
   void reset_stats();
 
  private:
   friend class InProcEndpoint;
 
-  Status send_from(const std::string& from, const std::string& to,
+  /// One attached (or since detached) endpoint.
+  struct Node {
+    InProcEndpoint* endpoint = nullptr;  // null once detached
+    bool killed = false;
+    std::optional<int> zone;
+  };
+
+  Status send_from(const InProcEndpoint& sender, const std::string& to,
                    std::vector<std::byte> bytes);
+  /// The slot `address` names: <n> for "inproc:<n>" (canonical decimal) of
+  /// an endpoint attached at some point; 0, the unused slot, otherwise.
+  [[nodiscard]] std::size_t slot_locked(const std::string& address) const;
   [[nodiscard]] bool is_partitioned_locked(const std::string& from,
                                            const std::string& to) const;
-  void detach(const std::string& address);
-  void deliver(const std::string& to, std::vector<std::byte> bytes);
+  void detach(std::size_t slot);
+  void deliver(std::size_t slot, std::vector<std::byte> bytes);
   void timer_loop();
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, InProcEndpoint*> endpoints_;
-  std::unordered_set<std::string> killed_;
+  /// Indexed by the <n> of "inproc:<n>". Slot 0 is never handed out (it
+  /// has no endpoint and is never killed), so the table's size is the next
+  /// slot.
+  std::vector<Node> nodes_ = std::vector<Node>(1);
   std::map<std::pair<std::string, std::string>, LinkModel> links_;
-  std::map<std::pair<std::string, std::string>, LinkStats> stats_;
+  LinkStats stats_;
   LinkModel default_link_;
-  std::unordered_map<std::string, int> node_zone_;
   std::map<std::pair<int, int>, LinkModel> zone_links_;
   /// Each partition() call cuts group A from group B; membership is a set
   /// test so a 500×500 split costs O(1) per send, not a 250k-pair scan.
@@ -153,13 +169,12 @@ class InProcNetwork {
   DeliveryScheduler scheduler_;
   TraceHook trace_;
   Xoshiro256 rng_;
-  std::uint64_t next_id_ = 1;
 
   // Wall-clock delayed delivery.
   struct Pending {
     Nanos due;
     std::uint64_t seq;
-    std::string to;
+    std::size_t to;  // destination slot
     std::vector<std::byte> bytes;
     bool operator>(const Pending& o) const {
       return std::tie(due, seq) > std::tie(o.due, o.seq);

@@ -993,18 +993,11 @@ void AttractionMemory::announce_leases(
   ShardLeaseAnnounce a{entries};
   ByteWriter w;
   a.serialize(w);
-  const std::vector<std::byte> payload = w.take();
-  std::vector<SdMessage> burst;
-  for (SiteId id : site_.cluster().live_sites()) {
-    if (id == site_.id()) continue;
-    SdMessage m;
-    m.dst = id;
-    m.src_mgr = m.dst_mgr = ManagerId::kAttractionMemory;
-    m.type = MsgType::kShardLease;
-    m.payload = payload;
-    burst.push_back(std::move(m));
-  }
-  (void)site_.messages().send_burst(std::move(burst));
+  SdMessage m;
+  m.src_mgr = m.dst_mgr = ManagerId::kAttractionMemory;
+  m.type = MsgType::kShardLease;
+  m.payload = w.take();
+  site_.messages().broadcast(m, site_.cluster().live_sites());
 }
 
 std::vector<ShardDirEntry> AttractionMemory::strip_shard(

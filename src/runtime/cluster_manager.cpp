@@ -1,6 +1,7 @@
 #include "runtime/cluster_manager.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "runtime/site.hpp"
 
@@ -134,23 +135,16 @@ void ClusterManager::announce_sign_off(SiteId successor) {
   ByteWriter w;
   w.site(local_id_);
   w.site(successor);
-  for (SiteId sid : live_) {
-    SdMessage msg;
-    msg.dst = sid;
-    msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
-    msg.type = MsgType::kSignOffNotice;
-    msg.payload = w.bytes();
-    (void)site_.messages().send(std::move(msg));
-  }
+  SdMessage notice;
+  notice.src_mgr = notice.dst_mgr = ManagerId::kCluster;
+  notice.type = MsgType::kSignOffNotice;
+  notice.payload = w.take();
+  site_.messages().broadcast(notice, live_);
 }
 
-Result<std::string> ClusterManager::physical_address(SiteId id) const {
-  auto it = sites_.find(id);
-  if (it == sites_.end()) {
-    return Status::error(ErrorCode::kNotFound,
-                         "unknown site " + std::to_string(id));
-  }
-  return it->second.address;
+const std::string* ClusterManager::physical_address(SiteId id) const {
+  const SiteInfo* info = find(id);
+  return info == nullptr ? nullptr : &info->address;
 }
 
 const SiteInfo* ClusterManager::find(SiteId id) const {
@@ -288,8 +282,11 @@ void ClusterManager::merge(SiteInfo info) {
 }
 
 void ClusterManager::note_heard(SiteId src) {
-  if (src == kInvalidSite || src == local_id_) return;
-  last_heard_[src] = site_.clock().now();
+  // Only the silence of monitored peers is judged; anyone else's traffic
+  // proves nothing we would use.
+  if (auto it = last_evidence_.find(src); it != last_evidence_.end()) {
+    it->second = site_.clock().now();
+  }
 }
 
 std::vector<std::byte> ClusterManager::encode_cluster_list() const {
@@ -468,19 +465,15 @@ void ClusterManager::complete_sign_on(const SdMessage& request, SiteId new_id) {
   ByteWriter entry_w;
   entry_w.u32(1);
   info.serialize(entry_w);
-  const std::vector<std::byte> entry = entry_w.take();
-  std::vector<SdMessage> burst;
-  for (SiteId sid : live_) {
-    if (sid == local_id_ || sid == new_id) continue;
-    SdMessage msg;
-    msg.dst = sid;
-    msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
-    msg.type = MsgType::kSiteGossip;
-    msg.payload = entry;
-    ++signon_messages_;
-    burst.push_back(std::move(msg));
-  }
-  (void)site_.messages().send_burst(std::move(burst));
+  SdMessage gossip;
+  gossip.src_mgr = gossip.dst_mgr = ManagerId::kCluster;
+  gossip.type = MsgType::kSiteGossip;
+  gossip.payload = entry_w.take();
+  std::vector<SiteId> members;
+  members.reserve(live_.size());
+  std::remove_copy(live_.begin(), live_.end(), std::back_inserter(members),
+                   new_id);
+  signon_messages_ += site_.messages().broadcast(gossip, members);
   SDVM_INFO(site_.tag()) << "admitted new site " << new_id << " ("
                          << info.platform << ", speed " << info.speed << ")";
 }
@@ -643,17 +636,11 @@ void ClusterManager::mark_dead(SiteId id, bool gossip) {
   if (gossip) {
     ByteWriter w;
     w.site(id);
-    std::vector<SdMessage> burst;
-    for (SiteId sid : live_) {
-      if (sid == local_id_) continue;
-      SdMessage msg;
-      msg.dst = sid;
-      msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
-      msg.type = MsgType::kSiteDead;
-      msg.payload = w.bytes();
-      burst.push_back(std::move(msg));
-    }
-    (void)site_.messages().send_burst(std::move(burst));
+    SdMessage verdict;
+    verdict.src_mgr = verdict.dst_mgr = ManagerId::kCluster;
+    verdict.type = MsgType::kSiteDead;
+    verdict.payload = w.take();
+    site_.messages().broadcast(verdict, live_);
   }
 }
 
@@ -684,17 +671,11 @@ void ClusterManager::set_successor(SiteId dead, SiteId heir, bool gossip) {
     ByteWriter w;
     w.site(dead);
     w.site(heir);
-    std::vector<SdMessage> burst;
-    for (SiteId sid : live_) {
-      if (sid == local_id_) continue;
-      SdMessage msg;
-      msg.dst = sid;
-      msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
-      msg.type = MsgType::kSignOffNotice;
-      msg.payload = w.bytes();
-      burst.push_back(std::move(msg));
-    }
-    (void)site_.messages().send_burst(std::move(burst));
+    SdMessage notice;
+    notice.src_mgr = notice.dst_mgr = ManagerId::kCluster;
+    notice.type = MsgType::kSignOffNotice;
+    notice.payload = w.take();
+    site_.messages().broadcast(notice, live_);
   }
 }
 
@@ -732,17 +713,11 @@ void ClusterManager::on_tick() {
 
   ByteWriter w;
   sites_[local_id_].serialize(w);
-  std::vector<SdMessage> beats;
-  for (SiteId sid : targets) {
-    SdMessage msg;
-    msg.dst = sid;
-    msg.src_mgr = msg.dst_mgr = ManagerId::kCluster;
-    msg.type = MsgType::kHeartbeat;
-    msg.payload = w.bytes();
-    ++heartbeats_sent_;
-    beats.push_back(std::move(msg));
-  }
-  (void)site_.messages().send_burst(std::move(beats));
+  SdMessage beat;
+  beat.src_mgr = beat.dst_mgr = ManagerId::kCluster;
+  beat.type = MsgType::kHeartbeat;
+  beat.payload = w.take();
+  heartbeats_sent_ += site_.messages().broadcast(beat, targets);
 
   // Failure detection: no traffic within the timeout → dead. Only the
   // peers that heartbeat *us* are judged — in ring mode everyone else's
@@ -751,12 +726,12 @@ void ClusterManager::on_tick() {
   // with every membership change, and a freshly adjacent predecessor is
   // granted a full timeout to learn that we are now its successor.
   {
-    std::map<SiteId, Nanos> since;
+    std::map<SiteId, Nanos> evidence;
     for (SiteId sid : monitored) {
-      auto it = monitored_since_.find(sid);
-      since[sid] = it != monitored_since_.end() ? it->second : now;
+      auto it = last_evidence_.find(sid);
+      evidence[sid] = it != last_evidence_.end() ? it->second : now;
     }
-    monitored_since_ = std::move(since);  // forget peers that rotated out
+    last_evidence_ = std::move(evidence);  // forget peers that rotated out
   }
   // Gossip below draws from the view this tick opened with: a death found
   // here leaves live_, so only then is that view kept aside.
@@ -764,11 +739,7 @@ void ClusterManager::on_tick() {
   Nanos timeout = site_.config().failure_timeout;
   for (SiteId sid : monitored) {
     if (!is_alive(sid)) continue;
-    Nanos base = monitored_since_[sid];
-    if (auto heard = last_heard_.find(sid); heard != last_heard_.end()) {
-      base = std::max(base, heard->second);
-    }
-    if (now - base > timeout) {
+    if (now - last_evidence_[sid] > timeout) {
       if (opening_view.empty()) opening_view = live_;
       mark_dead(sid, /*gossip=*/true);
     }

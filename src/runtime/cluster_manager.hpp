@@ -43,7 +43,9 @@ class ClusterManager {
   [[nodiscard]] SiteId local_id() const { return local_id_; }
 
   // --- cluster list --------------------------------------------------------
-  [[nodiscard]] Result<std::string> physical_address(SiteId id) const;
+  /// The site's physical (transport) address; null for an unknown id.
+  /// Entries are never erased, so the pointer stays valid.
+  [[nodiscard]] const std::string* physical_address(SiteId id) const;
   [[nodiscard]] const SiteInfo* find(SiteId id) const;
   /// Every live site, us included, sorted by id: the one membership view
   /// the other managers ask. Kept at each alive transition, never rebuilt.
@@ -138,12 +140,14 @@ class ClusterManager {
   // Sign-on requests parked while we fetch an id block.
   std::vector<SdMessage> parked_sign_ons_;
   std::size_t gossip_cursor_ = 0;
-  std::map<SiteId, Nanos> last_heard_;
-  /// When each currently monitored peer *became* monitored. Ring
-  /// positions shift as membership changes; a site that just became one
-  /// of our predecessors gets a fresh timeout window before we judge its
-  /// silence — it may only now be learning that we are its successor.
-  std::map<SiteId, Nanos> monitored_since_;
+  /// Last evidence of life for each currently monitored peer: the tick on
+  /// which it became monitored, raised by every message heard from it
+  /// since. Ring positions shift as membership changes; a site that just
+  /// became one of our predecessors gets a fresh timeout window before we
+  /// judge its silence — it may only now be learning that we are its
+  /// successor. Traffic heard before monitoring began is never later than
+  /// that tick, so it needs no record.
+  std::map<SiteId, Nanos> last_evidence_;
 
   /// How many delta-gossip rounds a *membership transition* (new member,
   /// death, successor change) keeps being re-advertised. One round is not

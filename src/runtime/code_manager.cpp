@@ -276,21 +276,17 @@ void CodeManager::upload_binary(
   if (std::find(targets.begin(), targets.end(), home) == targets.end()) {
     targets.push_back(home);
   }
-  std::erase(targets, site_.id());
 
   ByteWriter w;
   w.u32(tid);
   w.str(site_.config().platform);
   w.blob(binary->serialize());
-  for (SiteId sid : targets) {
-    SdMessage up;
-    up.dst = sid;
-    up.src_mgr = up.dst_mgr = ManagerId::kCode;
-    up.type = MsgType::kCodeUpload;
-    up.program = pid;
-    up.payload = w.bytes();
-    (void)site_.messages().send(std::move(up));
-  }
+  SdMessage up;
+  up.src_mgr = up.dst_mgr = ManagerId::kCode;
+  up.type = MsgType::kCodeUpload;
+  up.program = pid;
+  up.payload = w.take();
+  site_.messages().broadcast(up, targets);
 }
 
 void CodeManager::finish(const Key& key, Result<Executable> result) {

@@ -119,15 +119,12 @@ void CrashManager::replicate(ProgramId pid, const DurableEpoch& snap) {
   w.u32(static_cast<std::uint32_t>(hit->second.size() + 1));
   w.site(site_.id());
   for (SiteId sid : hit->second) w.site(sid);
-  for (SiteId sid : hit->second) {
-    SdMessage msg;
-    msg.dst = sid;
-    msg.src_mgr = msg.dst_mgr = ManagerId::kCrash;
-    msg.type = MsgType::kCheckpointReplica;
-    msg.program = pid;
-    msg.payload = w.bytes();
-    (void)site_.messages().send(std::move(msg));
-  }
+  SdMessage msg;
+  msg.src_mgr = msg.dst_mgr = ManagerId::kCrash;
+  msg.type = MsgType::kCheckpointReplica;
+  msg.program = pid;
+  msg.payload = w.take();
+  site_.messages().broadcast(msg, hit->second);
 }
 
 void CrashManager::on_program_started(ProgramId pid) {
@@ -804,16 +801,12 @@ void CrashManager::announce_offers() {
     e.offers.clear();
     ByteWriter w;
     w.u64(e.my_epoch);
-    for (SiteId sid : site_.cluster().live_sites()) {
-      if (sid == site_.id()) continue;
-      SdMessage msg;
-      msg.dst = sid;
-      msg.src_mgr = msg.dst_mgr = ManagerId::kCrash;
-      msg.type = MsgType::kRecoveryOffer;
-      msg.program = pid;
-      msg.payload = w.bytes();
-      (void)site_.messages().send(std::move(msg));
-    }
+    SdMessage offer;
+    offer.src_mgr = offer.dst_mgr = ManagerId::kCrash;
+    offer.type = MsgType::kRecoveryOffer;
+    offer.program = pid;
+    offer.payload = w.take();
+    site_.messages().broadcast(offer, site_.cluster().live_sites());
     ProgramId p = pid;
     site_.schedule_after(window, [this, p] { close_election(p); });
   }

@@ -1,7 +1,5 @@
 #include "runtime/message_manager.hpp"
 
-#include <algorithm>
-
 #include "runtime/site.hpp"
 
 namespace sdvm {
@@ -28,9 +26,13 @@ void MessageManager::register_metrics(metrics::MetricsRegistry& registry) {
   });
 }
 
-Status MessageManager::send(SdMessage msg) {
+void MessageManager::stamp(SdMessage& msg) {
   msg.src = site_.cluster().local_id();
   if (msg.seq == 0) msg.seq = next_seq();
+}
+
+Status MessageManager::send(SdMessage msg) {
+  stamp(msg);
   // Sim mode: a running microthread's results — including loopback ones —
   // leave the microthread only at its virtual completion time (§3.2
   // step 4); otherwise a consumer stolen by another site could start
@@ -39,70 +41,74 @@ Status MessageManager::send(SdMessage msg) {
     defer_->push_back(std::move(msg));
     return Status::ok();
   }
-  return transmit(std::move(msg));
+  auto to = route(msg.dst);
+  if (!to.is_ok()) return to.status();
+  if (to.value() == nullptr) {
+    loop_back(msg);
+    return Status::ok();
+  }
+  return site_.transport()->send(*to.value(), seal(msg));
 }
 
 Status MessageManager::send_burst(std::vector<SdMessage> msgs) {
   Status first = Status::ok();
-  SiteId local = site_.cluster().local_id();
-  // Group by destination address, preserving per-destination order.
-  std::vector<std::pair<std::string, std::vector<net::Frame>>> by_dest;
+  auto keep_first = [&first](const Status& st) {
+    if (!st.is_ok() && first.is_ok()) first = st;
+  };
+  // Per-destination batches in first-appearance order; `batch_of` maps a
+  // site to its batch, so grouping costs O(1) per message.
+  struct Batch {
+    const std::string* address;
+    std::vector<net::Frame> frames;
+  };
+  std::vector<Batch> batches;
+  std::unordered_map<SiteId, std::size_t> batch_of;
   for (auto& msg : msgs) {
-    msg.src = local;
-    if (msg.seq == 0) msg.seq = next_seq();
+    stamp(msg);
     if (defer_ != nullptr) {
       defer_->push_back(std::move(msg));
       continue;
     }
-    if (msg.dst == local && local != kInvalidSite) {
-      count_sent(msg.type);
-      count_received(msg.type);
-      deliver(msg);
+    auto to = route(msg.dst);
+    if (!to.is_ok()) {
+      keep_first(to.status());
+      fail_request(msg.seq, to.status());
       continue;
     }
-    auto addr = site_.cluster().physical_address(msg.dst);
-    if (!addr.is_ok()) {
-      if (first.is_ok()) first = addr.status();
-      fail_request(msg.seq, addr.status());
+    if (to.value() == nullptr) {
+      loop_back(msg);
       continue;
     }
-    if (site_.transport() == nullptr) {
-      Status st =
-          Status::error(ErrorCode::kFailedPrecondition, "no transport");
-      if (first.is_ok()) first = st;
-      fail_request(msg.seq, st);
-      continue;
-    }
-    count_sent(msg.type);
-    auto wire = site_.security().protect(msg);
-    bytes_sent_ += wire.size();
-    auto it = std::find_if(by_dest.begin(), by_dest.end(), [&](auto& e) {
-      return e.first == addr.value();
-    });
-    if (it == by_dest.end()) {
-      by_dest.emplace_back(addr.value(), std::vector<net::Frame>{});
-      it = std::prev(by_dest.end());
-    }
-    it->second.push_back(std::move(wire));
+    auto [it, fresh] = batch_of.try_emplace(msg.dst, batches.size());
+    if (fresh) batches.push_back(Batch{to.value(), {}});
+    batches[it->second].frames.push_back(seal(msg));
   }
-  for (auto& [dest, frames] : by_dest) {
-    Status st = site_.transport()->send_batch(dest, std::move(frames));
-    if (!st.is_ok() && first.is_ok()) first = st;
-    site_.transport()->flush(dest);
+  for (auto& [address, frames] : batches) {
+    keep_first(site_.transport()->send_batch(*address, std::move(frames)));
+    site_.transport()->flush(*address);
   }
   return first;
 }
 
+std::size_t MessageManager::broadcast(const SdMessage& proto,
+                                      const std::vector<SiteId>& ids) {
+  const SiteId local = site_.cluster().local_id();
+  std::vector<SdMessage> burst;
+  burst.reserve(ids.size());
+  for (SiteId id : ids) {
+    if (id == local) continue;
+    burst.emplace_back(proto).dst = id;
+  }
+  const std::size_t n = burst.size();
+  (void)send_burst(std::move(burst));
+  return n;
+}
+
 Status MessageManager::request(SdMessage msg, ReplyHandler on_reply) {
-  msg.src = site_.cluster().local_id();
   msg.seq = next_seq();
   pending_[msg.seq] = Pending{msg.dst, std::move(on_reply)};
-  std::uint64_t seq = msg.seq;
-  if (defer_ != nullptr) {
-    defer_->push_back(std::move(msg));
-    return Status::ok();
-  }
-  Status st = transmit(std::move(msg));
+  const std::uint64_t seq = msg.seq;
+  Status st = send(std::move(msg));
   if (!st.is_ok()) fail_request(seq, st);
   return st;
 }
@@ -119,39 +125,42 @@ Status MessageManager::respond(const SdMessage& request, SdMessage msg) {
   return send(std::move(msg));
 }
 
-Status MessageManager::transmit(SdMessage msg) {
-  SiteId local = site_.cluster().local_id();
-  if (msg.dst == local && local != kInvalidSite) {
-    // Loopback: skip the wire entirely (Figure 4: the execution layer
-    // "alone would suffice to run an SDVM on one site only").
-    count_sent(msg.type);
-    count_received(msg.type);
-    deliver(msg);
-    return Status::ok();
+Result<const std::string*> MessageManager::route(SiteId dst) {
+  const SiteId local = site_.cluster().local_id();
+  if (dst == local && local != kInvalidSite) {
+    return static_cast<const std::string*>(nullptr);
   }
-
-  auto addr = site_.cluster().physical_address(msg.dst);
-  if (!addr.is_ok()) return addr.status();
+  const std::string* address = site_.cluster().physical_address(dst);
+  if (address == nullptr) {
+    return Status::error(ErrorCode::kNotFound,
+                         "unknown site " + std::to_string(dst));
+  }
   if (site_.transport() == nullptr) {
     return Status::error(ErrorCode::kFailedPrecondition, "no transport");
   }
+  return address;
+}
+
+net::Frame MessageManager::seal(const SdMessage& msg) {
   count_sent(msg.type);
   auto wire = site_.security().protect(msg);
   bytes_sent_ += wire.size();
-  return site_.transport()->send(addr.value(), std::move(wire));
+  return wire;
+}
+
+void MessageManager::loop_back(const SdMessage& msg) {
+  count_sent(msg.type);
+  count_received(msg.type);
+  deliver(msg);
 }
 
 Status MessageManager::send_to_address(const std::string& physical,
                                        SdMessage msg) {
-  msg.src = site_.cluster().local_id();
-  if (msg.seq == 0) msg.seq = next_seq();
+  stamp(msg);
   if (site_.transport() == nullptr) {
     return Status::error(ErrorCode::kFailedPrecondition, "no transport");
   }
-  count_sent(msg.type);
-  auto wire = site_.security().protect(msg);
-  bytes_sent_ += wire.size();
-  return site_.transport()->send(physical, std::move(wire));
+  return site_.transport()->send(physical, seal(msg));
 }
 
 void MessageManager::on_raw(std::span<const std::byte> wire) {
@@ -217,11 +226,11 @@ void MessageManager::on_raw_departed(std::span<const std::byte> wire) {
                            << " after " << int(m.hops) << " sign-off relays";
     return;
   }
-  SiteId local = site_.cluster().local_id();
-  SiteId succ = site_.cluster().resolve_successor(local);
+  const SiteId local = site_.cluster().local_id();
+  const SiteId succ = site_.cluster().resolve_successor(local);
   if (succ == kInvalidSite || succ == local) return;
-  auto addr = site_.cluster().physical_address(succ);
-  if (!addr.is_ok() || site_.transport() == nullptr) return;
+  auto to = route(succ);
+  if (!to.is_ok()) return;
   m.dst = succ;
   // The successor never issued the request this reply answers; a preserved
   // reply_to would be dropped there as an orphan. Clear it so the payload
@@ -231,9 +240,7 @@ void MessageManager::on_raw_departed(std::span<const std::byte> wire) {
   m.reply_to = 0;
   ++m.hops;
   ++forwarded_departed_;
-  auto out = site_.security().protect(m);
-  bytes_sent_ += out.size();
-  (void)site_.transport()->send(addr.value(), std::move(out));
+  (void)site_.transport()->send(*to.value(), seal(m));
 }
 
 void MessageManager::deliver(const SdMessage& msg) {

@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "common/status.hpp"
+#include "net/transport.hpp"
 #include "runtime/message.hpp"
 #include "runtime/metrics.hpp"
 
@@ -26,12 +27,19 @@ class MessageManager {
   /// local site are dispatched directly (loopback).
   Status send(SdMessage msg);
 
-  /// Fire-and-forget burst. Messages are grouped by destination and handed
-  /// to the transport as per-peer batches (Transport::send_batch + flush),
-  /// so a fan-out of N tiny messages leaves the site in O(peers) wire
-  /// batches instead of N datagrams. Loopback messages dispatch directly;
-  /// the first failure's status is returned, later messages still go out.
+  /// Fire-and-forget burst. Messages are grouped by destination site and
+  /// handed to the transport as per-peer batches (Transport::send_batch +
+  /// flush, in first-appearance order), so a fan-out of N tiny messages
+  /// leaves the site in O(peers) wire batches instead of N datagrams.
+  /// Loopback messages dispatch inline during the pass, before any batch
+  /// leaves; the first failure's status is returned, later messages still
+  /// go out.
   Status send_burst(std::vector<SdMessage> msgs);
+
+  /// One burst of copies of `proto`, one to each of `ids` other than this
+  /// site, in list order. Returns how many copies it sent.
+  std::size_t broadcast(const SdMessage& proto,
+                        const std::vector<SiteId>& ids);
 
   /// Request expecting a reply (matched on reply_to == seq). The handler
   /// runs under the site lock when the reply (or a failure) arrives.
@@ -75,9 +83,19 @@ class MessageManager {
   metrics::Counter received_count_;
   metrics::Counter bytes_sent_;      // wire bytes (loopback excluded)
   metrics::Counter bytes_received_;
-  metrics::Counter forwarded_departed_;  // relayed after sign-off
+  metrics::Counter forwarded_departed_;  // relays after sign-off, in sent
 
-  Status transmit(SdMessage msg);
+  /// Stamps src and (if unset) a fresh seq.
+  void stamp(SdMessage& msg);
+  /// Where `dst` is reached: nullptr for this site (loopback), otherwise
+  /// its physical address; an error for an unknown id or no transport.
+  [[nodiscard]] Result<const std::string*> route(SiteId dst);
+  /// The one outbound step for wire traffic: counts the message (total and
+  /// per type), seals it and counts its wire bytes.
+  [[nodiscard]] net::Frame seal(const SdMessage& msg);
+  /// Loopback: skips the wire entirely (Figure 4: the execution layer
+  /// "alone would suffice to run an SDVM on one site only").
+  void loop_back(const SdMessage& msg);
   void deliver(const SdMessage& msg);
   /// Fails the pending request `seq` (if any) with `st`: it never left.
   void fail_request(std::uint64_t seq, const Status& st);

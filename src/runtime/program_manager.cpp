@@ -132,16 +132,12 @@ void ProgramManager::terminate(ProgramId pid, std::int64_t exit_code) {
     // "Its microthreads can safely be deleted from memory" cluster-wide.
     ByteWriter w;
     w.i64(exit_code);
-    for (SiteId sid : site_.cluster().live_sites()) {
-      if (sid == site_.id()) continue;
-      SdMessage msg;
-      msg.dst = sid;
-      msg.src_mgr = msg.dst_mgr = ManagerId::kProgram;
-      msg.type = MsgType::kProgramTerminated;
-      msg.program = pid;
-      msg.payload = w.bytes();
-      (void)site_.messages().send(std::move(msg));
-    }
+    SdMessage msg;
+    msg.src_mgr = msg.dst_mgr = ManagerId::kProgram;
+    msg.type = MsgType::kProgramTerminated;
+    msg.program = pid;
+    msg.payload = w.take();
+    site_.messages().broadcast(msg, site_.cluster().live_sites());
   } else {
     ByteWriter w;
     w.i64(exit_code);

@@ -107,7 +107,7 @@ void SiteManager::handle(const SdMessage& msg) {
         }
       }
       bool routable = msg.src == site_.id() ||
-                      site_.cluster().physical_address(msg.src).is_ok();
+                      site_.cluster().physical_address(msg.src) != nullptr;
       if (routable || direct_addr.empty()) {
         (void)site_.messages().respond(msg, std::move(reply));
       } else {

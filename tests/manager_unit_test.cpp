@@ -139,6 +139,46 @@ TEST(SuccessorRoutingTest, ChainOfSignOffsStillRoutes) {
   EXPECT_TRUE(info3->alive);
 }
 
+TEST(SuccessorRoutingTest, RelayAfterSignOffCountsAsSent) {
+  SimCluster cluster;
+  cluster.add_sites(3);
+  cluster.loop().run_for(kNanosPerSecond);
+  Site& leaver = cluster.site(2);
+  Site& sender = cluster.site(1);
+  auto counter = [](Site& s, const std::string& name) {
+    return s.introspect().metrics.counter(name);
+  };
+
+  // Sign off without running the loop: the sender has not heard the
+  // notice yet, so its output still goes to the departed site, which must
+  // relay it to the successor.
+  auto successor = leaver.sign_off();
+  ASSERT_TRUE(successor.is_ok());
+  ASSERT_TRUE(leaver.signed_off());
+  const std::uint64_t sent_before = counter(leaver, "msg.sent");
+  {
+    std::lock_guard lock(sender.lock());
+    ByteWriter w;
+    w.str("late line");
+    SdMessage msg;
+    msg.dst = leaver.id();
+    msg.src_mgr = msg.dst_mgr = ManagerId::kIo;
+    msg.type = MsgType::kIoOutput;
+    msg.program = ProgramId{1};
+    msg.payload = w.take();
+    ASSERT_TRUE(sender.messages().send(std::move(msg)).is_ok());
+  }
+  cluster.loop().run_for(kNanosPerSecond);
+
+  const std::uint64_t relayed = counter(leaver, "msg.forwarded_departed");
+  EXPECT_GE(relayed, 1u);
+  EXPECT_EQ(counter(leaver, "msg.sent.io-output"), relayed);
+  EXPECT_GE(counter(leaver, "msg.sent") - sent_before, relayed);
+  Site& heir = cluster.site(successor.value() - 1);
+  ASSERT_EQ(heir.id(), successor.value());
+  EXPECT_EQ(counter(heir, "msg.received.io-output"), 1u);
+}
+
 TEST(ProgramManagerTest, InfoFetchedOnDemand) {
   SimCluster cluster;
   cluster.add_sites(2);

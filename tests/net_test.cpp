@@ -94,8 +94,9 @@ TEST(InProcTest, LossModelDropsDeterministically) {
   // ~50% should survive; deterministic for the fixed seed.
   EXPECT_GT(got.load(), 60);
   EXPECT_LT(got.load(), 140);
-  auto stats = net.stats(b->local_address(), a->local_address());
+  auto stats = net.total_stats();
   EXPECT_EQ(stats.messages + stats.dropped, 200u);
+  EXPECT_EQ(stats.messages, static_cast<std::uint64_t>(got.load()));
 }
 
 TEST(InProcTest, StatsCountMessagesAndBytes) {
@@ -104,13 +105,70 @@ TEST(InProcTest, StatsCountMessagesAndBytes) {
   auto b = net.attach([](std::vector<std::byte>) {});
   ASSERT_TRUE(b->send(a->local_address(), bytes_of("12345")).is_ok());
   ASSERT_TRUE(b->send(a->local_address(), bytes_of("678")).is_ok());
-  auto stats = net.stats(b->local_address(), a->local_address());
-  EXPECT_EQ(stats.messages, 2u);
-  EXPECT_EQ(stats.bytes, 8u);
+  ASSERT_TRUE(a->send(b->local_address(), bytes_of("9")).is_ok());
   auto total = net.total_stats();
-  EXPECT_EQ(total.messages, 2u);
+  EXPECT_EQ(total.messages, 3u);
+  EXPECT_EQ(total.bytes, 9u);
+  EXPECT_EQ(total.dropped, 0u);
   net.reset_stats();
   EXPECT_EQ(net.total_stats().messages, 0u);
+}
+
+TEST(InProcTest, NodeTableEdges) {
+  InProcNetwork net;
+  std::atomic<int> a_got{0};
+  auto a = net.attach([&](std::vector<std::byte>) { a_got++; });
+  auto b = net.attach([](std::vector<std::byte>) {});
+  std::vector<std::string> traced;
+  net.set_trace_hook([&](const std::string&, const std::string& to,
+                         std::size_t, bool delivered) {
+    if (!delivered) traced.push_back(to);
+  });
+
+  // Malformed, foreign, non-canonical and never-attached addresses name
+  // no node: each send fails and counts one drop.
+  const std::vector<std::string> nowhere = {"inproc:", "inproc:x", "tcp:1",
+                                            "inproc:999", "inproc:01"};
+  for (const std::string& to : nowhere) {
+    Status st = b->send(to, bytes_of("x"));
+    EXPECT_FALSE(st.is_ok()) << to;
+    EXPECT_NE(st.to_string().find("no endpoint"), std::string::npos) << to;
+  }
+  EXPECT_EQ(net.total_stats().dropped, nowhere.size());
+  EXPECT_EQ(traced, nowhere);
+  net.kill("inproc:999");  // names no node: ignored
+  EXPECT_FALSE(net.is_killed("inproc:999"));
+
+  // kill → detach → heal: a killed endpoint black-holes, stays killed
+  // once detached, and after heal() is simply gone.
+  const std::string addr = a->local_address();
+  net.kill(addr);
+  EXPECT_TRUE(b->send(addr, bytes_of("x")).is_ok());
+  a->close();
+  EXPECT_TRUE(net.is_killed(addr));
+  EXPECT_TRUE(b->send(addr, bytes_of("x")).is_ok());
+  net.heal();
+  EXPECT_FALSE(net.is_killed(addr));
+  EXPECT_FALSE(b->send(addr, bytes_of("x")).is_ok());
+  EXPECT_EQ(a_got.load(), 0);
+
+  // A zone-pair model wins over the default link; a per-pair override
+  // wins over both.
+  LinkModel cut;
+  cut.cut = true;
+  auto c = net.attach([](std::vector<std::byte>) {});
+  std::atomic<int> d_got{0};
+  auto d = net.attach([&](std::vector<std::byte>) { d_got++; });
+  net.set_node_zone(c->local_address(), 0);
+  net.set_node_zone(d->local_address(), 1);
+  net.set_zone_link(0, 1, cut);
+  ASSERT_TRUE(c->send(d->local_address(), bytes_of("x")).is_ok());
+  EXPECT_EQ(d_got.load(), 0);
+  ASSERT_TRUE(b->send(d->local_address(), bytes_of("x")).is_ok());
+  EXPECT_EQ(d_got.load(), 1) << "a node without a zone uses the default";
+  net.set_link(c->local_address(), d->local_address(), LinkModel{});
+  ASSERT_TRUE(c->send(d->local_address(), bytes_of("x")).is_ok());
+  EXPECT_EQ(d_got.load(), 2);
 }
 
 TEST(InProcTest, WallClockDelayedDelivery) {
